@@ -10,6 +10,9 @@
 //! (row order and race counts are unaffected; per-row timing columns share
 //! the machine, so compare timings at the default `--jobs 1`).
 //!
+//! The table run exits with status 1 unless every row matches the paper's
+//! qualitative shape, so a CI smoke run gates the reproduction.
+//!
 //! `--bench-smoke` exercises the PR 4 parallel shard driver: it generates a
 //! four-shard moldyn-derived workload (`gen::emit` to binary `.rwf`), runs
 //! the merge-layer driver at `jobs = 1` and `jobs = 4`, cross-checks the
@@ -32,12 +35,6 @@
 //! one-shot `serve` baseline and a chunked (64 KiB) against a single-frame
 //! transfer — each job's merged outcome cross-checked against local
 //! `jobs = 2` as whole `Outcome` values.
-//!
-//! `--bench-smoke-wcp` exercises the PR 7 epoch-fast WCP core: per-detector
-//! ns/event on the account and moldyn models (WCP epoch-fast, WCP
-//! full-clock reference, HB), the WCP/HB ratio, epoch/pool hit rates, and a
-//! race-count cross-check — epoch-fast and reference race counts must be
-//! identical and the full Table 1 qualitative shape must stay 18/18.
 //!
 //! `--bench-smoke-chaos` exercises the PR 8 chaos-hardened transport: the
 //! resident chunked-64 KiB submit with the chaos hook compiled in but
@@ -77,7 +74,6 @@ struct Args {
     bench_smoke: Option<String>,
     bench_smoke_dist: Option<String>,
     bench_smoke_service: Option<String>,
-    bench_smoke_wcp: Option<String>,
     bench_smoke_chaos: Option<String>,
     bench_smoke_placement: Option<String>,
     jobs: usize,
@@ -90,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
         bench_smoke: None,
         bench_smoke_dist: None,
         bench_smoke_service: None,
-        bench_smoke_wcp: None,
         bench_smoke_chaos: None,
         bench_smoke_placement: None,
         jobs: 1,
@@ -118,10 +113,6 @@ fn parse_args() -> Result<Args, String> {
                 parsed.bench_smoke_service =
                     Some(args.next().ok_or("--bench-smoke-service requires an output path")?);
             }
-            "--bench-smoke-wcp" => {
-                parsed.bench_smoke_wcp =
-                    Some(args.next().ok_or("--bench-smoke-wcp requires an output path")?);
-            }
             "--bench-smoke-chaos" => {
                 parsed.bench_smoke_chaos =
                     Some(args.next().ok_or("--bench-smoke-chaos requires an output path")?);
@@ -140,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: table1 [--max-events N] [--benchmark NAME] [--jobs N] \
 [--bench-smoke OUT.json] [--bench-smoke-dist OUT.json] [--bench-smoke-service OUT.json] \
-[--bench-smoke-wcp OUT.json] [--bench-smoke-chaos OUT.json] [--bench-smoke-placement OUT.json]"
+[--bench-smoke-chaos OUT.json] [--bench-smoke-placement OUT.json]"
                     .to_owned())
             }
             other => return Err(format!("unknown argument {other}")),
@@ -936,109 +927,6 @@ lease-timeout 5 s\",\n  \
     Ok(())
 }
 
-/// One timed WCP point on one benchmark model: best-of-3 ns/event plus the
-/// run's stats (race count, epoch/pool hit rates).
-fn time_wcp(
-    trace: &rapid_trace::Trace,
-    config: rapid_wcp::WcpConfig,
-) -> (f64, usize, rapid_wcp::WcpStats) {
-    let mut best = f64::INFINITY;
-    let mut races = 0;
-    let mut stats = rapid_wcp::WcpStats::default();
-    for _ in 0..3 {
-        let mut stream = rapid_wcp::WcpStream::with_config(trace.num_threads(), config);
-        let started = std::time::Instant::now();
-        for event in trace.events() {
-            stream.on_event(event);
-        }
-        let elapsed = started.elapsed().as_secs_f64() * 1e9 / trace.len().max(1) as f64;
-        let outcome = stream.finish();
-        races = outcome.report.distinct_pairs();
-        stats = outcome.stats;
-        best = best.min(elapsed);
-    }
-    (best, races, stats)
-}
-
-/// Best-of-3 HB ns/event plus the distinct race-pair count.
-fn time_hb(trace: &rapid_trace::Trace) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut races = 0;
-    for _ in 0..3 {
-        let mut stream = rapid_hb::HbStream::with_threads(trace.num_threads());
-        let started = std::time::Instant::now();
-        for event in trace.events() {
-            stream.on_event(event);
-        }
-        let elapsed = started.elapsed().as_secs_f64() * 1e9 / trace.len().max(1) as f64;
-        races = stream.finish().distinct_pairs();
-        best = best.min(elapsed);
-    }
-    (best, races)
-}
-
-/// Runs the PR 7 bench-smoke: epoch-fast vs full-clock-reference WCP vs HB
-/// ns/event on account + moldyn, hit rates, and the Table 1 shape check.
-fn run_bench_smoke_wcp(out: &str, max_events: usize) -> Result<(), String> {
-    let mut per_benchmark = Vec::new();
-    for name in ["account", "moldyn"] {
-        let spec = benchmarks::spec(name).ok_or_else(|| format!("{name} spec missing"))?;
-        let target = spec.default_scaled_events().min(max_events);
-        let model = benchmarks::benchmark_scaled(name, target)
-            .ok_or_else(|| format!("cannot generate {name} model"))?;
-        let trace = &model.trace;
-
-        // Untimed warmup, then best-of-3 per detector configuration.
-        time_wcp(trace, rapid_wcp::WcpConfig::default());
-        let (fast_ns, fast_races, fast_stats) = time_wcp(trace, rapid_wcp::WcpConfig::default());
-        let (reference_ns, reference_races, _) = time_wcp(trace, rapid_wcp::WcpConfig::reference());
-        let (hb_ns, hb_races) = time_hb(trace);
-
-        // Cross-check: the fast paths must not change a single verdict.
-        if fast_races != reference_races {
-            return Err(format!(
-                "{name}: epoch-fast WCP found {fast_races} race pair(s), full-clock reference \
-found {reference_races}"
-            ));
-        }
-        let ratio = if hb_ns > 0.0 { fast_ns / hb_ns } else { 0.0 };
-        per_benchmark.push(format!(
-            "    {{\"benchmark\": \"{name}\", \"events\": {events}, \
-\"wcp_ns_per_event\": {fast_ns:.1}, \"wcp_fullclock_ns_per_event\": {reference_ns:.1}, \
-\"hb_ns_per_event\": {hb_ns:.1}, \"wcp_over_hb\": {ratio:.3}, \
-\"wcp_races\": {fast_races}, \"hb_races\": {hb_races}, \
-\"epoch_hit_rate\": {epoch_rate:.4}, \"pool_hit_rate\": {pool_rate:.4}, \
-\"crosscheck_fast_equals_fullclock\": true}}",
-            events = trace.len(),
-            epoch_rate = fast_stats.epoch_hit_rate(),
-            pool_rate = fast_stats.pool_hit_rate(),
-        ));
-    }
-
-    // The Table 1 regression gate: the qualitative shape must stay 18/18.
-    let report = table1_jobs(max_events, 1);
-    let matching = report.rows_matching_paper();
-    let rows = report.rows.len();
-    if matching != rows {
-        return Err(format!("Table 1 shape regressed: {matching}/{rows} rows match the paper"));
-    }
-
-    let json = format!(
-        "{{\n  \"pr\": 7,\n  \"kind\": \"bench-smoke-wcp\",\n  \
-\"workload\": \"account + moldyn models (max {max_events} events), best-of-3 per detector\",\n  \
-\"detectors\": [\"wcp\", \"wcp-fullclock\", \"hb\"],\n  \
-\"table1_rows_matching_paper\": {matching},\n  \"table1_rows\": {rows},\n  \
-\"per_benchmark\": [\n{per_benchmark}\n  ]\n}}\n",
-        per_benchmark = per_benchmark.join(",\n"),
-    );
-    let mut file =
-        std::fs::File::create(out).map_err(|error| format!("cannot create {out}: {error}"))?;
-    file.write_all(json.as_bytes()).map_err(|error| format!("cannot write {out}: {error}"))?;
-    println!("wrote {out}");
-    print!("{json}");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(parsed) => parsed,
@@ -1068,15 +956,6 @@ fn main() -> ExitCode {
     }
     if let Some(out) = args.bench_smoke_service {
         return match run_bench_smoke_service(&out, args.max_events) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some(out) = args.bench_smoke_wcp {
-        return match run_bench_smoke_wcp(&out, args.max_events) {
             Ok(()) => ExitCode::SUCCESS,
             Err(message) => {
                 eprintln!("{message}");
@@ -1137,5 +1016,10 @@ fn main() -> ExitCode {
             row.mcm_large_races,
         );
     }
-    ExitCode::SUCCESS
+    if report.rows_matching_paper() == report.rows.len() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("Table 1 shape regressed: not every row matches the paper");
+        ExitCode::FAILURE
+    }
 }

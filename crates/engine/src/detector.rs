@@ -17,18 +17,19 @@ use crate::outcome::{Metrics, Outcome};
 /// Contract: events are fed in trace order; [`Detector::finish`] is called
 /// exactly once, after the last event, with a
 /// [`NameResolver`](rapid_trace::NameResolver) for the ids the events used —
-/// the detector resolves its raw per-trace race report into the name-keyed,
-/// mergeable [`Outcome`] at that boundary.  Windowed detectors may buffer
-/// and report races late (at window boundaries or at `finish`), so per-event
-/// return values are a *progress* signal, not a completeness guarantee — the
-/// final [`Outcome::races`] is.
+/// the detector resolves its per-pair race stats (its
+/// [`RaceSink`](rapid_trace::RaceSink)) into the name-keyed, mergeable
+/// [`Outcome`] at that boundary.  Windowed detectors may buffer and report
+/// races late (at window boundaries or at `finish`), so per-event return
+/// values are a *progress* signal, not a completeness guarantee — the final
+/// [`Outcome::races`] is.
 pub trait Detector {
     /// The detector's display name.
     fn name(&self) -> String;
 
     /// Processes the next event of the stream, returning the races flagged
-    /// at (or unlocked by) it.
-    fn on_event(&mut self, event: &Event) -> Vec<Race>;
+    /// at (or unlocked by) it.  The slice is valid until the next call.
+    fn on_event(&mut self, event: &Event) -> &[Race];
 
     /// Ends the stream and returns the accumulated outcome, with race pairs
     /// resolved to names through `names`.
@@ -122,16 +123,15 @@ impl Detector for rapid_hb::HbStream {
         "hb".to_owned()
     }
 
-    fn on_event(&mut self, event: &Event) -> Vec<Race> {
+    fn on_event(&mut self, event: &Event) -> &[Race] {
         rapid_hb::HbStream::on_event(self, event)
     }
 
     fn finish(&mut self, names: &dyn NameResolver) -> Outcome {
         let stats = self.stats();
-        let report = rapid_hb::HbStream::finish(self);
         let mut metrics = Metrics::new();
         metrics.record_sum("race_events", stats.race_events as f64);
-        Outcome::from_report(Detector::name(self), stats.events, &report, metrics, names)
+        Outcome::from_sink(Detector::name(self), stats.events, self.sink(), metrics, names)
     }
 }
 
@@ -140,16 +140,15 @@ impl Detector for rapid_hb::FastTrackStream {
         "hb-fasttrack".to_owned()
     }
 
-    fn on_event(&mut self, event: &Event) -> Vec<Race> {
+    fn on_event(&mut self, event: &Event) -> &[Race] {
         rapid_hb::FastTrackStream::on_event(self, event)
     }
 
     fn finish(&mut self, names: &dyn NameResolver) -> Outcome {
         let stats = self.stats();
-        let report = rapid_hb::FastTrackStream::finish(self);
         let mut metrics = Metrics::new();
         metrics.record_sum("race_events", stats.race_events as f64);
-        Outcome::from_report(Detector::name(self), stats.events, &report, metrics, names)
+        Outcome::from_sink(Detector::name(self), stats.events, self.sink(), metrics, names)
     }
 }
 
@@ -158,13 +157,12 @@ impl Detector for rapid_wcp::WcpStream {
         "wcp".to_owned()
     }
 
-    fn on_event(&mut self, event: &Event) -> Vec<Race> {
+    fn on_event(&mut self, event: &Event) -> &[Race] {
         rapid_wcp::WcpStream::on_event(self, event)
     }
 
     fn finish(&mut self, names: &dyn NameResolver) -> Outcome {
-        let outcome = rapid_wcp::WcpStream::finish(self);
-        let stats = &outcome.stats;
+        let stats = rapid_wcp::WcpStream::finish(self);
         let mut metrics = Metrics::new();
         metrics.record_max("max_queue_percentage", stats.max_queue_percentage());
         metrics.record_max("max_queue_entries", stats.max_queue_entries as f64);
@@ -177,7 +175,7 @@ impl Detector for rapid_wcp::WcpStream {
         metrics.record_sum("epoch_fast_writes", stats.epoch_fast_writes as f64);
         metrics.record_sum("pool_taken", stats.pool_taken as f64);
         metrics.record_sum("pool_recycled", stats.pool_recycled as f64);
-        Outcome::from_report(Detector::name(self), stats.events, &outcome.report, metrics, names)
+        Outcome::from_sink(Detector::name(self), stats.events, self.sink(), metrics, names)
     }
 }
 
@@ -186,21 +184,20 @@ impl Detector for rapid_mcm::McmStream {
         format!("mcm({})", self.config().label())
     }
 
-    fn on_event(&mut self, event: &Event) -> Vec<Race> {
+    fn on_event(&mut self, event: &Event) -> &[Race] {
         rapid_mcm::McmStream::on_event(self, event)
     }
 
     fn finish(&mut self, names: &dyn NameResolver) -> Outcome {
-        let name = Detector::name(self);
-        let events = self.events_seen();
-        let (report, stats) = rapid_mcm::McmStream::finish(self);
+        rapid_mcm::McmStream::finish(self);
+        let stats = self.stats();
         let mut metrics = Metrics::new();
         metrics.record_sum("windows", stats.windows as f64);
         metrics.record_sum("candidate_pairs", stats.candidate_pairs as f64);
         metrics.record_sum("witnessed_pairs", stats.witnessed_pairs as f64);
         metrics.record_sum("budget_exhausted_pairs", stats.budget_exhausted_pairs as f64);
-        metrics.record_sum("race_events", report.len() as f64);
-        Outcome::from_report(name, events, &report, metrics, names)
+        metrics.record_sum("race_events", self.sink().race_events() as f64);
+        Outcome::from_sink(Detector::name(self), self.events_seen(), self.sink(), metrics, names)
     }
 }
 
@@ -245,7 +242,7 @@ mod tests {
             for event in trace.events() {
                 stream.on_event(event);
             }
-            stream.finish().stats
+            stream.finish()
         };
         let wcp_metrics = |trace: &rapid_trace::Trace| {
             let mut stream = rapid_wcp::WcpStream::new();
@@ -306,7 +303,8 @@ mod tests {
             for event in trace.events() {
                 stream.on_event(event);
             }
-            stream.finish().1
+            stream.finish();
+            stream.stats().clone()
         };
         let mut mcm_merged = mcm_run(&first);
         mcm_merged.merge(&mcm_run(&second));

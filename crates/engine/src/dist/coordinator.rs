@@ -113,10 +113,13 @@ pub struct ServeSummary {
 
 /// Where a shard's bytes come from.  File-backed shards (the default job)
 /// are read per *lease*, not held for the whole run; streamed shards hold
-/// the client's bytes until the job completes.
+/// the client's bytes until the job completes, then release them.
 enum ShardSource {
     Path(PathBuf),
     Bytes(Arc<Vec<u8>>),
+    /// Streamed bytes dropped when their job completed: a complete job is
+    /// never granted again.
+    Released,
 }
 
 /// One shard as the coordinator stores it.
@@ -220,6 +223,19 @@ impl Job {
     /// or closed with every shard accounted for.
     fn is_complete(&self) -> bool {
         self.aborted.is_some() || (!self.open && self.completed == self.declared)
+    }
+
+    /// Stamps the job's end and drops its streamed shard bytes.  Names,
+    /// content ids and results stay: reports, `STALE` acks and the fold
+    /// need nothing else, so a resident coordinator holds no bytes for
+    /// finished jobs.
+    fn finish(&mut self) {
+        self.finished = Some(Instant::now());
+        for meta in self.shards.iter_mut().flatten() {
+            if let ShardSource::Bytes(_) = meta.source {
+                meta.source = ShardSource::Released;
+            }
+        }
     }
 
     /// The display name of a shard, for error paths (falls back to the
@@ -586,7 +602,7 @@ impl Shared {
         // original worker's late result arrives — drop the duplicate work.
         job.pending.retain(|&queued| queued != shard);
         if job.is_complete() {
-            job.finished = Some(Instant::now());
+            job.finish();
         }
         self.finish_or_notify(reg);
         true
@@ -631,7 +647,7 @@ impl Shared {
                     Some(format!("job {} aborted: the coordinator is draining", job.name));
                 job.pending.clear();
                 job.leases.clear();
-                job.finished = Some(Instant::now());
+                job.finish();
             }
         }
         self.finish_or_notify(reg);
@@ -859,7 +875,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) {
 /// since bind still reaches the worker's cache under its true identity.
 /// An unreadable shard is recorded as a failed result — the same "shard
 /// cannot be opened" semantics as the local driver — and `None` tells the
-/// caller to claim again.
+/// caller to claim again.  So does a shard whose job completed between
+/// the claim and the load (a speculative grant the original holder won).
 fn load_shard(
     shared: &Shared,
     conn: u64,
@@ -874,6 +891,7 @@ fn load_shard(
     let spec = job.spec.clone();
     let loaded = match &meta.source {
         ShardSource::Bytes(bytes) => Ok((Arc::clone(bytes), meta.content)),
+        ShardSource::Released => return None,
         ShardSource::Path(path) => {
             let path = path.clone();
             drop(reg); // file I/O happens outside the registry lock
@@ -907,13 +925,14 @@ fn load_shard(
 
 /// Ships one granted shard: `GRANT` out, then the worker's `HAVE` (cache
 /// hit — nothing moves) or `PULL` (stream the chunk train) decides
-/// whether bytes cross the wire.  The worker holds its stream for the
-/// whole LEASE→GRANT→HAVE/PULL exchange, so the next frame from it is
-/// the transfer decision.  Returns `false` when the connection broke
-/// (the caller's post-loop requeue covers the lease).
+/// whether bytes cross the wire.  A prefetching worker flushes finished
+/// results before it answers, so `OUTCOME`/`FAILED` frames may arrive
+/// first; they fold as they would outside a grant.  Returns `false` when
+/// the connection broke (the caller's post-loop requeue covers the lease).
 fn send_grant(
     shared: &Shared,
     stream: &mut RwpStream,
+    conn: u64,
     job: u32,
     shard: u32,
     grant: &Message,
@@ -942,6 +961,11 @@ fn send_grant(
                 shared.note_cache_hit(job);
                 return true;
             }
+            Ok(Incoming::Message(result @ (Message::Outcome { .. } | Message::Failed { .. }))) => {
+                if !fold_result(shared, stream, conn, result) {
+                    return false;
+                }
+            }
             Ok(Incoming::Idle) => {
                 if shared.is_shutdown() || Instant::now() >= deadline {
                     return false;
@@ -950,6 +974,32 @@ fn send_grant(
             _ => return false,
         }
     }
+}
+
+/// Folds a worker's `OUTCOME` or `FAILED` into its job.  A result the job
+/// rejects (a late duplicate: expired lease, slow worker, or the losing
+/// side of a speculative re-lease) gets a non-fatal `STALE` ack.  Returns
+/// `false` when that ack could not be written.
+fn fold_result(shared: &Shared, stream: &mut RwpStream, conn: u64, result: Message) -> bool {
+    shared.mark_active(conn);
+    let (job, shard, folded) = {
+        let reg = shared.state.lock().expect("coordinator state poisoned");
+        match result {
+            Message::Outcome { job, shard, events, wall_nanos, runs } => {
+                let run = reg.jobs.get(&job).map(|meta| {
+                    shard_run_from_wire(meta, shard as usize, events, wall_nanos, runs)
+                });
+                (job, shard, run)
+            }
+            Message::Failed { job, shard, message } => {
+                let path = reg.jobs.get(&job).map(|meta| meta.shard_name(shard as usize));
+                (job, shard, path.map(|path| Err(DriverError { path: path.into(), message })))
+            }
+            _ => unreachable!("only OUTCOME and FAILED carry results"),
+        }
+    };
+    let accepted = folded.is_some_and(|run| shared.complete(conn, job, shard as usize, run));
+    accepted || proto::write_message(stream, &Message::Stale { job, shard }).is_ok()
 }
 
 /// The poll cadence of a `LEASE` waiting on an empty queue: short enough
@@ -983,13 +1033,15 @@ fn serve_worker(shared: &Shared, mut stream: RwpStream, conn: u64) {
                             fast_poll = false;
                             let _ = stream.set_read_timeout(Some(WORKER_IDLE_POLL));
                         }
-                        if !send_grant(shared, &mut stream, job, shard as u32, &grant, &bytes) {
+                        if !send_grant(shared, &mut stream, conn, job, shard as u32, &grant, &bytes)
+                        {
                             break 'conn;
                         }
                         continue 'conn;
                     }
-                    // The shard failed to load and was recorded as a
-                    // failed result; claim again for this LEASE.
+                    // The shard failed to load (recorded as a failed
+                    // result) or its job completed meanwhile; claim again
+                    // for this LEASE.
                     None => continue 'conn,
                 },
                 ClaimWait::Drained => {
@@ -1009,49 +1061,8 @@ fn serve_worker(shared: &Shared, mut stream: RwpStream, conn: u64) {
                 shared.mark_active(conn);
                 pending_lease = true;
             }
-            Ok(Incoming::Message(Message::Outcome { job, shard, events, wall_nanos, runs })) => {
-                shared.mark_active(conn);
-                let shard = shard as usize;
-                let result = {
-                    let reg = shared.state.lock().expect("coordinator state poisoned");
-                    reg.jobs
-                        .get(&job)
-                        .map(|meta| shard_run_from_wire(meta, shard, events, wall_nanos, runs))
-                };
-                let accepted = match result {
-                    Some(result) => shared.complete(conn, job, shard, result),
-                    None => false,
-                };
-                if !accepted
-                    && proto::write_message(
-                        &mut stream,
-                        &Message::Stale { job, shard: shard as u32 },
-                    )
-                    .is_err()
-                {
-                    break 'conn;
-                }
-            }
-            Ok(Incoming::Message(Message::Failed { job, shard, message })) => {
-                shared.mark_active(conn);
-                let shard = shard as usize;
-                let path = {
-                    let reg = shared.state.lock().expect("coordinator state poisoned");
-                    reg.jobs.get(&job).map(|meta| PathBuf::from(meta.shard_name(shard)))
-                };
-                let accepted = match path {
-                    Some(path) => {
-                        shared.complete(conn, job, shard, Err(DriverError { path, message }))
-                    }
-                    None => false,
-                };
-                if !accepted
-                    && proto::write_message(
-                        &mut stream,
-                        &Message::Stale { job, shard: shard as u32 },
-                    )
-                    .is_err()
-                {
+            Ok(Incoming::Message(result @ (Message::Outcome { .. } | Message::Failed { .. }))) => {
+                if !fold_result(shared, &mut stream, conn, result) {
                     break 'conn;
                 }
             }
@@ -1163,7 +1174,7 @@ fn close_job(shared: &Shared, job_id: u32) -> Result<(), String> {
     }
     job.open = false;
     if job.is_complete() {
-        job.finished = Some(Instant::now());
+        job.finish();
     }
     drop(reg);
     shared.cond.notify_all();
@@ -1283,5 +1294,59 @@ fn serve_client(shared: &Shared, mut stream: RwpStream, _conn: u64) {
             }
             Ok(Incoming::Message(_)) | Ok(Incoming::Eof) | Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::{shutdown, submit, work, SubmitConfig, WorkConfig};
+
+    #[test]
+    fn completed_job_releases_its_shard_bytes() {
+        let path = std::env::temp_dir()
+            .join(format!("rapid-coordinator-release-{}.std", std::process::id()));
+        std::fs::write(&path, "t1|w(x)|A:1\nt2|w(x)|B:2\n").expect("shard writes");
+
+        let coordinator =
+            Coordinator::bind(&[], &ServeConfig::default()).expect("resident coordinator binds");
+        let addr = coordinator.local_addr().to_string();
+        let shared = Arc::clone(&coordinator.shared);
+        let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
+        let worker_addr = addr.clone();
+        let worker = std::thread::spawn(move || {
+            let config = WorkConfig { jobs: Some(1), ..WorkConfig::default() };
+            work(&worker_addr, &config).expect("worker completes")
+        });
+
+        let config = SubmitConfig {
+            job: Some("release".to_owned()),
+            paths: vec![path.clone()],
+            ..SubmitConfig::default()
+        };
+        let report = submit(&addr, &config).expect("job submits");
+        assert_eq!(report.merged[0].outcome.distinct_pairs(), 1);
+        {
+            let reg = shared.state.lock().expect("coordinator state poisoned");
+            let job = reg.jobs.values().find(|job| job.name == "release").expect("job kept");
+            assert!(job.is_complete());
+            for meta in &job.shards {
+                let meta = meta.as_ref().expect("the shard's name and content id stay");
+                assert!(
+                    matches!(meta.source, ShardSource::Released),
+                    "a completed job still holds the bytes of {}",
+                    meta.name
+                );
+            }
+        }
+        // The report survives the release: a re-fetch folds the kept results.
+        let refetch = SubmitConfig { job: Some("release".to_owned()), ..SubmitConfig::default() };
+        let again = submit(&addr, &refetch).expect("completed job re-fetches");
+        assert_eq!(again.merged[0].outcome, report.merged[0].outcome);
+
+        shutdown(&addr).expect("coordinator drains");
+        worker.join().expect("worker thread");
+        serve.join().expect("serve thread");
+        std::fs::remove_file(&path).ok();
     }
 }

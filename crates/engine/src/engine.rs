@@ -62,7 +62,7 @@ struct Registered {
 /// Because detectors are streaming cores, total live memory is the sum of
 /// the detectors' states — the trace itself is never materialized on this
 /// path, so a multi-gigabyte trace file can be analyzed in
-/// `O(threads · variables + window)` memory.
+/// `O(threads · variables + distinct race pairs + window)` memory.
 ///
 /// For analyzing *many* trace files at once, see
 /// [`driver::run_shards`](crate::driver::run_shards), which runs one engine
@@ -139,7 +139,7 @@ impl Engine {
             last = now;
             if !races.is_empty() {
                 flagged += races.len();
-                for race in &races {
+                for race in races {
                     sink(&registered.name, race);
                 }
                 // Exclude the sink's own cost from the next detector's slice.

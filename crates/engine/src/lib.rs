@@ -77,8 +77,3 @@ pub use driver::{
 };
 pub use engine::{DetectorRun, Engine};
 pub use outcome::{Aggregation, Metric, Metrics, Outcome, PairStats, RacePair};
-// The shared race-drain cursor every streaming core feeds its `on_event`
-// return values through.  It lives next to `RaceReport` in `rapid-trace`
-// (the detector crates cannot depend on this one), but engine users are its
-// main audience, so it is re-exported here.
-pub use rapid_trace::RaceDrain;

@@ -42,7 +42,11 @@
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fmt;
 
-use rapid_trace::{NameResolver, RaceReport};
+use rapid_trace::{NameResolver, RaceSink};
+
+/// Per-pair aggregates carried through merges — the same type the
+/// detectors' [`RaceSink`]s keep per `(variable, location pair)`.
+pub use rapid_trace::PairStats;
 
 pub mod wire;
 
@@ -77,24 +81,6 @@ impl RacePair {
 impl fmt::Display for RacePair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}: {} <-> {}", self.variable, self.first_location, self.second_location)
-    }
-}
-
-/// Per-pair aggregates carried through merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairStats {
-    /// Number of race events reported for this pair (sums under merge).
-    pub race_events: usize,
-    /// Minimum event separation among the pair's races, per shard —
-    /// distances are trace-local, so the merge keeps the minimum.
-    pub min_distance: usize,
-}
-
-impl PairStats {
-    /// Folds another pair's stats into this one.
-    pub fn merge(&mut self, other: &PairStats) {
-        self.race_events += other.race_events;
-        self.min_distance = self.min_distance.min(other.min_distance);
     }
 }
 
@@ -220,9 +206,8 @@ impl fmt::Display for Metrics {
 
 /// What a detector reports: a mergeable summary of one or more runs.
 ///
-/// See the [module docs](self) for the merge semantics.  Unlike the pre-PR-4
-/// shape (a trace-local [`RaceReport`] plus untyped `(name, value)` pairs),
-/// everything here is keyed by interned names, so outcomes from different
+/// See the [module docs](self) for the merge semantics.  Everything here is
+/// keyed by interned names, not trace-local ids, so outcomes from different
 /// traces, readers and worker threads fold together losslessly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
@@ -242,30 +227,25 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Builds a single-run outcome from a detector's raw, id-keyed
-    /// [`RaceReport`], resolving every id through `names` — the boundary
-    /// where per-trace ids leave the system.
-    pub fn from_report(
+    /// Builds a single-run outcome from a detector's id-keyed per-pair
+    /// stats, resolving each pair's ids through `names` once — the boundary
+    /// where per-trace ids leave the system.  Pairs whose names coincide
+    /// merge their stats.
+    pub fn from_sink(
         detector: impl Into<String>,
         events: usize,
-        report: &RaceReport,
+        sink: &RaceSink,
         metrics: Metrics,
         names: &dyn NameResolver,
     ) -> Self {
         let mut races: BTreeMap<RacePair, PairStats> = BTreeMap::new();
-        for race in report.races() {
+        for ((variable, first, second), stats) in sink.pairs() {
             let pair = RacePair::new(
-                names.variable_label(race.variable),
-                names.location_label(race.first_location),
-                names.location_label(race.second_location),
+                names.variable_label(variable),
+                names.location_label(first),
+                names.location_label(second),
             );
-            races
-                .entry(pair)
-                .and_modify(|stats| {
-                    stats.race_events += 1;
-                    stats.min_distance = stats.min_distance.min(race.distance());
-                })
-                .or_insert(PairStats { race_events: 1, min_distance: race.distance() });
+            races.entry(pair).and_modify(|known| known.merge(&stats)).or_insert(stats);
         }
         Outcome { detector: detector.into(), shards: 1, events, races, metrics }
     }
@@ -402,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn from_report_resolves_names_and_dedupes() {
+    fn from_sink_resolves_names_and_dedupes() {
         let mut builder = TraceBuilder::new();
         let t1 = builder.thread("t1");
         let t2 = builder.thread("t2");
@@ -413,18 +393,17 @@ mod tests {
         builder.write(t2, x);
         let trace = builder.finish();
 
-        let report: RaceReport = vec![rapid_trace::Race {
+        let mut sink = RaceSink::new();
+        sink.record(rapid_trace::Race {
             first: trace[0].id(),
             second: trace[1].id(),
             variable: x,
             first_location: trace[1].location(),
             second_location: trace[0].location(),
             kind: rapid_trace::RaceKind::Wcp,
-        }]
-        .into_iter()
-        .collect();
+        });
 
-        let outcome = Outcome::from_report("wcp", trace.len(), &report, Metrics::new(), &trace);
+        let outcome = Outcome::from_sink("wcp", trace.len(), &sink, Metrics::new(), &trace);
         assert_eq!(outcome.shards, 1);
         assert_eq!(outcome.events, 2);
         assert_eq!(outcome.distinct_pairs(), 1);

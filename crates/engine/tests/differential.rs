@@ -152,16 +152,18 @@ proptest! {
     fn fasttrack_stream_matches_djit_racy_variables(trace in generated_trace()) {
         let mut djit = HbStream::new();
         let mut fasttrack = FastTrackStream::new();
+        let mut djit_report = RaceReport::new();
+        let mut fasttrack_report = RaceReport::new();
         for event in trace.events() {
-            djit.on_event(event);
-            fasttrack.on_event(event);
+            djit_report.extend(djit.on_event(event));
+            fasttrack_report.extend(fasttrack.on_event(event));
         }
         let vars = |report: &RaceReport| -> BTreeSet<_> {
             report.races().iter().map(|race| race.variable).collect()
         };
         prop_assert_eq!(
-            vars(&djit.finish()),
-            vars(&fasttrack.finish()),
+            vars(&djit_report),
+            vars(&fasttrack_report),
             "FastTrack diverged from Djit+ on:\n{}", format::write_std(&trace)
         );
     }
@@ -218,16 +220,18 @@ proptest! {
     fn epoch_fast_wcp_matches_full_clock_reference(trace in generated_trace()) {
         let mut fast = WcpStream::with_config(0, WcpConfig::default());
         let mut reference = WcpStream::with_config(0, WcpConfig::reference());
+        let mut fast_report = RaceReport::new();
+        let mut reference_report = RaceReport::new();
         let mut fast_times = Vec::new();
         let mut reference_times = Vec::new();
         for event in trace.events() {
-            fast.on_event(event);
-            reference.on_event(event);
+            fast_report.extend(fast.on_event(event));
+            reference_report.extend(reference.on_event(event));
             fast_times.push(fast.current_time(event.thread()));
             reference_times.push(reference.current_time(event.thread()));
         }
-        let fast = fast.finish();
-        let reference = reference.finish();
+        let fast_stats = fast.finish();
+        let reference_stats = reference.finish();
 
         let key = |report: &RaceReport| -> Vec<_> {
             report
@@ -237,8 +241,8 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(
-            key(&fast.report),
-            key(&reference.report),
+            key(&fast_report),
+            key(&reference_report),
             "epoch-fast race vector diverged from full-clock reference on:\n{}",
             format::write_std(&trace)
         );
@@ -262,12 +266,12 @@ proptest! {
             ..stats.clone()
         };
         prop_assert_eq!(
-            mask(&fast.stats),
-            mask(&reference.stats),
+            mask(&fast_stats),
+            mask(&reference_stats),
             "epoch-fast stats diverged on:\n{}", format::write_std(&trace)
         );
-        prop_assert_eq!(reference.stats.epoch_fast_reads, 0);
-        prop_assert_eq!(reference.stats.pool_taken, 0);
+        prop_assert_eq!(reference_stats.epoch_fast_reads, 0);
+        prop_assert_eq!(reference_stats.pool_taken, 0);
     }
 
     /// Pooled clock recycling is invisible: a pooled run and a
@@ -281,9 +285,11 @@ proptest! {
         let fresh_config = WcpConfig { pool_clocks: false, ..WcpConfig::default() };
         let mut pooled = WcpStream::with_config(0, pooled_config);
         let mut fresh = WcpStream::with_config(0, fresh_config);
+        let mut pooled_report = RaceReport::new();
+        let mut fresh_report = RaceReport::new();
         for (index, event) in trace.events().iter().enumerate() {
-            pooled.on_event(event);
-            fresh.on_event(event);
+            pooled_report.extend(pooled.on_event(event));
+            fresh_report.extend(fresh.on_event(event));
             prop_assert!(
                 clocks_equal(
                     &pooled.current_time(event.thread()),
@@ -293,12 +299,10 @@ proptest! {
                 index, format::write_std(&trace)
             );
         }
-        let pooled = pooled.finish();
-        let fresh = fresh.finish();
         let key = |report: &RaceReport| -> Vec<_> {
             report.races().iter().map(|race| (race.first, race.second, race.variable)).collect()
         };
-        prop_assert_eq!(key(&pooled.report), key(&fresh.report));
+        prop_assert_eq!(key(&pooled_report), key(&fresh_report));
     }
 
     /// (b) Theorem 1 soundness ordering: every HB race is a WCP race, at

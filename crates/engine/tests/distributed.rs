@@ -609,6 +609,86 @@ fn speculative_re_lease_folds_once_and_acks_the_loser_stale() {
     cleanup(&paths);
 }
 
+/// The `OUTCOME` a worker would send for `shard`, built from the local
+/// run's result for the same shard.
+fn outcome_message(local: &MultiReport, job: u32, shard: u32) -> proto::Message {
+    let run = &local.shards[shard as usize];
+    proto::Message::Outcome {
+        job,
+        shard,
+        events: run.events as u64,
+        wall_nanos: run.wall.as_nanos() as u64,
+        runs: run
+            .runs
+            .iter()
+            .map(|run| proto::WireRun {
+                time_nanos: run.time.as_nanos() as u64,
+                outcome: run.outcome.clone(),
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
+    // The prefetch-pipeline bugfix pinned on raw RWP: a prefetching worker
+    // flushes finished results before every read, so lease N's OUTCOME can
+    // arrive after GRANT N+1 and before its PULL.  The coordinator must fold
+    // it and keep serving the grant, not drop the connection.
+    let traces = [racy_trace("x", "A:1", "A:2"), racy_trace("y", "B:1", "B:2")];
+    let paths = write_shards("pipelined", &traces);
+    let jobs1 = local_run(&paths, &spec(), 1);
+
+    let coordinator =
+        Coordinator::bind(&[], &ServeConfig::default()).expect("resident coordinator binds");
+    let addr = coordinator.local_addr();
+    let addr_string = addr.to_string();
+    let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
+    let submit_addr = addr_string.clone();
+    let submit_paths = paths.clone();
+    let submit = std::thread::spawn(move || {
+        let config = SubmitConfig {
+            job: Some("pipelined".to_owned()),
+            paths: submit_paths,
+            spec: spec(),
+            ..SubmitConfig::default()
+        };
+        dist::submit(&submit_addr, &config).expect("job submits")
+    });
+
+    let mut worker = TcpStream::connect(addr).expect("worker connects");
+    let (job, first, _) = lease_one(&mut worker);
+    proto::write_message(&mut worker, &proto::Message::Lease).expect("prefetch lease");
+    let (second, chunks, content) =
+        match proto::expect_message(&mut worker, Duration::from_secs(10)).expect("grant") {
+            proto::Message::Grant { job: granted, shard, chunks, content, .. } => {
+                assert_eq!(granted, job);
+                (shard, chunks, content)
+            }
+            other => panic!("expected GRANT, got {other:?}"),
+        };
+    // The first lease's result, ahead of the second grant's answer.
+    proto::write_message(&mut worker, &outcome_message(&jobs1, job, first))
+        .expect("outcome writes");
+    proto::write_message(&mut worker, &proto::Message::Pull { job, shard: second })
+        .expect("pull writes");
+    let bytes = proto::read_chunks(&mut worker, job, second, chunks, Duration::from_secs(10))
+        .expect("the connection survived the early OUTCOME");
+    assert_eq!(proto::ContentId::of(&bytes), content);
+    proto::write_message(&mut worker, &outcome_message(&jobs1, job, second))
+        .expect("outcome writes");
+
+    let report = submit.join().expect("submit thread");
+    for (baseline, remote) in jobs1.merged.iter().zip(&report.merged) {
+        assert_eq!(baseline.outcome, remote.outcome, "the pipelined fold diverged");
+        assert_eq!(remote.outcome.shards, paths.len());
+    }
+    drop(worker);
+    dist::shutdown(&addr_string).expect("coordinator drains");
+    serve.join().expect("serve thread");
+    cleanup(&paths);
+}
+
 #[test]
 fn worker_cache_is_keyed_by_content_not_job_identity() {
     // The cache-keying bugfix pinned end-to-end: a job name is reused for

@@ -10,10 +10,12 @@ use std::io::{BufReader, Write as _};
 
 use rapid_engine::{DetectorRun, Engine};
 use rapid_gen::{benchmarks, figures};
-use rapid_hb::HbStream;
+use std::collections::BTreeSet;
+
+use rapid_hb::{FastTrackStream, HbStream};
 use rapid_mcm::{McmConfig, McmDetector, McmStream};
 use rapid_trace::format::{self, StreamReader};
-use rapid_trace::{Location, Trace};
+use rapid_trace::{Location, PairKey, Race, RaceSink, Trace};
 use rapid_vc::ThreadId;
 use rapid_wcp::WcpStream;
 
@@ -78,8 +80,11 @@ fn table1_benchmark_streams_with_the_baseline_counts() {
     // trace.  Outcomes are keyed by location *names*, so the streamed side
     // (ids interned in first-occurrence order) and the batch side (builder
     // interning) compare directly.
-    let batch_mcm = McmDetector::new(mcm_config).detect(&model.trace);
-    let batch_outcome = rapid_engine::Outcome::from_report(
+    let mut batch_mcm = RaceSink::new();
+    for race in McmDetector::new(mcm_config).detect(&model.trace).races() {
+        batch_mcm.record(*race);
+    }
+    let batch_outcome = rapid_engine::Outcome::from_sink(
         "mcm",
         model.trace.len(),
         &batch_mcm,
@@ -159,39 +164,86 @@ fn online_race_sink_fires_at_the_flagging_event() {
     assert_eq!(runs.iter().map(|run| run.outcome.race_events()).sum::<usize>(), 2);
 }
 
+/// What one synthetic stream left in one detector's race sink.
+#[derive(Debug, PartialEq, Eq)]
+struct SinkState {
+    /// Entries the sink retains.
+    retained: usize,
+    /// Distinct `(variable, location pair)` keys among the races `on_event`
+    /// returned.
+    distinct_keys: usize,
+    /// Race events recorded.
+    race_events: usize,
+}
+
+/// The peaks and sinks of one synthetic stream.
+struct SyntheticRun {
+    peak_queue: usize,
+    peak_sections: usize,
+    far_race_found: bool,
+    /// WCP, HB and FastTrack, in that order.
+    sinks: Vec<SinkState>,
+}
+
 /// Drives `sections` rotating critical sections (plus one far race) through
-/// a WCP stream, synthesizing each [`Event`] on the fly — no trace, builder
-/// or buffer ever holds the stream.  Returns the peak live Rule (b) queue
-/// occupancy, the peak retained section count, and the races found.
-fn run_synthetic_stream(sections: usize) -> (usize, usize, usize) {
+/// WCP, HB and FastTrack streams, synthesizing each [`Event`] on the fly — no
+/// trace, builder or buffer ever holds the stream.  Every section is preceded
+/// by an unsynchronized write to a shared variable, so race events grow with
+/// the stream while the racing location pairs stay a fixed set.
+fn run_synthetic_stream(sections: usize) -> SyntheticRun {
     use rapid_trace::{Event, EventId, EventKind, LockId, VarId};
 
     struct Probe {
-        stream: WcpStream,
+        wcp: WcpStream,
+        hb: HbStream,
+        fasttrack: FastTrackStream,
         next: u32,
-        races: usize,
+        races: [usize; 3],
+        keys: [BTreeSet<PairKey>; 3],
         peak_queue: usize,
         peak_sections: usize,
     }
 
     impl Probe {
-        fn feed(&mut self, thread: u32, kind: EventKind) {
+        fn feed(&mut self, thread: u32, kind: EventKind) -> bool {
             // Locations cycle over a fixed small set so race pairs stay
             // meaningful without unbounded interning.
             let location = Location::new(self.next % 64);
             let event = Event::new(EventId::new(self.next), ThreadId::new(thread), kind, location);
             self.next += 1;
-            self.races += self.stream.on_event(&event).len();
-            self.peak_queue = self.peak_queue.max(self.stream.live_queue_entries());
-            self.peak_sections = self.peak_sections.max(self.stream.retained_sections());
+            let flagged: [&[Race]; 3] = [
+                self.wcp.on_event(&event),
+                self.hb.on_event(&event),
+                self.fasttrack.on_event(&event),
+            ];
+            let wcp_flagged = !flagged[0].is_empty();
+            for (index, races) in flagged.iter().enumerate() {
+                self.races[index] += races.len();
+                for race in *races {
+                    let (first, second) = race.location_pair();
+                    self.keys[index].insert((race.variable, first, second));
+                }
+            }
+            self.peak_queue = self.peak_queue.max(self.wcp.live_queue_entries());
+            self.peak_sections = self.peak_sections.max(self.wcp.retained_sections());
+            wcp_flagged
         }
     }
 
     let lock = LockId::new(0);
     let counter = VarId::new(0);
     let racy = VarId::new(1);
-    let mut probe =
-        Probe { stream: WcpStream::new(), next: 0, races: 0, peak_queue: 0, peak_sections: 0 };
+    let shared = VarId::new(2);
+    let mut probe = Probe {
+        wcp: WcpStream::new(),
+        hb: HbStream::new(),
+        fasttrack: FastTrackStream::new(),
+        next: 0,
+        races: [0; 3],
+        keys: Default::default(),
+        peak_queue: 0,
+        peak_sections: 0,
+    };
 
     // An unprotected write whose racing read arrives only after the filler.
     // The reader (thread 1) stays out of the lock rotation — joining it
@@ -200,32 +252,65 @@ fn run_synthetic_stream(sections: usize) -> (usize, usize, usize) {
     probe.feed(0, EventKind::Write(racy));
     for index in 0..sections {
         let thread = [0u32, 2, 3][index % 3];
+        // Unordered with the other rotating threads' last writes: a thread
+        // acquires only after this write, so nothing orders it.
+        probe.feed(thread, EventKind::Write(shared));
         probe.feed(thread, EventKind::Acquire(lock));
         probe.feed(thread, EventKind::Read(counter));
         probe.feed(thread, EventKind::Write(counter));
         probe.feed(thread, EventKind::Release(lock));
     }
-    probe.feed(1, EventKind::Read(racy));
+    let far_race_found = probe.feed(1, EventKind::Read(racy));
 
-    let total_races = probe.stream.finish().report.len();
-    assert_eq!(total_races, probe.races, "per-event race deltas add up to the final report");
-    (probe.peak_queue, probe.peak_sections, total_races)
+    let sinks = [probe.wcp.sink(), probe.hb.sink(), probe.fasttrack.sink()];
+    let sinks = sinks
+        .iter()
+        .zip(probe.races.iter().zip(&probe.keys))
+        .map(|(sink, (&races, keys))| {
+            assert_eq!(sink.race_events(), races, "per-event race deltas add up to the sink");
+            SinkState { retained: sink.len(), distinct_keys: keys.len(), race_events: races }
+        })
+        .collect();
+    SyntheticRun {
+        peak_queue: probe.peak_queue,
+        peak_sections: probe.peak_sections,
+        far_race_found,
+        sinks,
+    }
 }
 
 #[test]
 fn streaming_wcp_state_is_independent_of_trace_length() {
-    // ~500K events (125K critical sections × 4 events) vs a 50× shorter
-    // stream: the peak live Rule (b) state must not grow with the stream.
-    let (short_queue, short_sections, _) = run_synthetic_stream(2_500);
-    let (long_queue, long_sections, long_races) = run_synthetic_stream(125_000);
+    // ~625K events (125K critical sections × 5 events) vs a 50× shorter
+    // stream: the peak live Rule (b) state and every detector's retained
+    // race state must not grow with the stream, while race events do.
+    let short = run_synthetic_stream(2_500);
+    let long = run_synthetic_stream(125_000);
 
-    assert!(long_races >= 1, "the far race is found across 500K events");
+    assert!(long.far_race_found, "the far race is found across 625K events");
     assert!(
-        long_sections <= short_sections.max(8),
-        "retained sections grew with the stream: {long_sections} vs {short_sections}"
+        long.peak_sections <= short.peak_sections.max(8),
+        "retained sections grew with the stream: {} vs {}",
+        long.peak_sections,
+        short.peak_sections
     );
     assert!(
-        long_queue <= short_queue.max(32),
-        "queue occupancy grew with the stream: {long_queue} vs {short_queue}"
+        long.peak_queue <= short.peak_queue.max(32),
+        "queue occupancy grew with the stream: {} vs {}",
+        long.peak_queue,
+        short.peak_queue
     );
+    for (detector, (short, long)) in
+        ["wcp", "hb", "fasttrack"].iter().zip(short.sinks.iter().zip(&long.sinks))
+    {
+        assert_eq!(short.retained, short.distinct_keys, "{detector}: one entry per distinct pair");
+        assert_eq!(long.retained, long.distinct_keys, "{detector}: one entry per distinct pair");
+        assert_eq!(long.retained, short.retained, "{detector}: retained race state grew");
+        assert!(
+            long.race_events > 40 * short.race_events,
+            "{detector}: race events should grow with the stream ({} vs {})",
+            long.race_events,
+            short.race_events
+        );
+    }
 }

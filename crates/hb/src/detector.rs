@@ -1,30 +1,11 @@
 //! The Djit⁺-style vector-clock happens-before detector.
 
-use std::collections::HashMap;
-
 use rapid_trace::{
-    Event, EventId, EventKind, Location, Race, RaceDrain, RaceKind, RaceReport, Trace, VarId,
+    Event, EventId, EventKind, LastAccesses, Race, RaceKind, RaceReport, RaceSink, Trace,
 };
-use rapid_vc::{ThreadId, VectorClock};
+use rapid_vc::VectorClock;
 
-/// Information about the last access of a given kind to a variable by a
-/// particular thread, kept for race-pair reporting.
-#[derive(Debug, Clone, Copy)]
-struct LastAccess {
-    /// Local time of the accessing thread when the access happened.
-    epoch: u64,
-    /// The access event.
-    event: EventId,
-    /// Its program location.
-    location: Location,
-}
-
-/// Per-variable access history: the last read and last write of each thread.
-#[derive(Debug, Clone, Default)]
-struct VarHistory {
-    reads: HashMap<ThreadId, LastAccess>,
-    writes: HashMap<ThreadId, LastAccess>,
-}
+use crate::sync::{dense_slot, SyncClocks};
 
 /// The vector-clock happens-before race detector (Djit⁺ style).
 ///
@@ -68,112 +49,30 @@ impl HbTimestamps {
     }
 }
 
-#[derive(Debug)]
-struct HbState {
-    /// `C_t` for each thread.
-    clocks: Vec<VectorClock>,
-    /// `L_l` for each lock: the clock of the last release.
-    lock_clocks: HashMap<rapid_trace::LockId, VectorClock>,
-    /// Per-variable access history for race reporting.
-    history: HashMap<VarId, VarHistory>,
-    report: RaceReport,
-}
-
-impl HbState {
-    fn new(threads: usize) -> Self {
-        let mut clocks = Vec::with_capacity(threads);
-        for t in 0..threads.max(1) {
-            // Each thread starts at local time 1 so that "never communicated"
-            // components (0) compare strictly below every real access.
-            clocks.push(VectorClock::singleton(ThreadId::new(t as u32), 1));
-        }
-        HbState {
-            clocks,
-            lock_clocks: HashMap::new(),
-            history: HashMap::new(),
-            report: RaceReport::new(),
-        }
-    }
-
-    fn clock_mut(&mut self, thread: ThreadId) -> &mut VectorClock {
-        let index = thread.index();
-        if index >= self.clocks.len() {
-            for t in self.clocks.len()..=index {
-                self.clocks.push(VectorClock::singleton(ThreadId::new(t as u32), 1));
-            }
-        }
-        &mut self.clocks[index]
-    }
-
-    fn clock(&mut self, thread: ThreadId) -> VectorClock {
-        self.clock_mut(thread).clone()
-    }
-
-    fn increment(&mut self, thread: ThreadId) {
-        let clock = self.clock_mut(thread);
-        let next = clock.get(thread) + 1;
-        clock.set(thread, next);
-    }
-
-    /// Records race pairs between `event` and every earlier conflicting
-    /// access that is not HB-ordered before it.
-    fn check_and_record(&mut self, event: &Event, var: VarId, kind: RaceKind) {
-        let thread = event.thread();
-        let clock = self.clock(thread);
-        let history = self.history.entry(var).or_default();
-        let mut found: Vec<(LastAccess, bool)> = Vec::new();
-
-        // A write conflicts with earlier reads and writes; a read only with
-        // earlier writes.
-        for (&other, access) in &history.writes {
-            if other != thread && access.epoch > clock.get(other) {
-                found.push((*access, true));
-            }
-        }
-        if event.kind().is_write() {
-            for (&other, access) in &history.reads {
-                if other != thread && access.epoch > clock.get(other) {
-                    found.push((*access, false));
-                }
-            }
-        }
-        for (access, _) in found {
-            self.report.push(Race {
-                first: access.event,
-                second: event.id(),
-                variable: var,
-                first_location: access.location,
-                second_location: event.location(),
-                kind,
-            });
-        }
-
-        // Update the history with this access.
-        let entry =
-            LastAccess { epoch: clock.get(thread), event: event.id(), location: event.location() };
-        let history = self.history.entry(var).or_default();
-        if event.kind().is_write() {
-            history.writes.insert(thread, entry);
-        } else {
-            history.reads.insert(thread, entry);
-        }
-    }
+/// The last read and last write of each thread to one variable.
+#[derive(Debug, Default)]
+struct VarHistory {
+    reads: LastAccesses,
+    writes: LastAccesses,
 }
 
 /// The push-based streaming core of the Djit⁺ HB detector.
 ///
 /// Feed events in trace order with [`HbStream::on_event`]; each call returns
-/// the races detected *at* that event.  [`HbStream::finish`] yields the
-/// accumulated [`RaceReport`].  State is `O(threads · (threads + variables +
-/// locks))` — independent of trace length — and threads are discovered as
-/// their events arrive, so the stream can run over a trace file without ever
-/// materializing a [`Trace`].  [`HbDetector::detect`] is a thin wrapper that
-/// streams a materialized trace through this core (batch = stream +
+/// the races detected *at* that event, and [`HbStream::sink`] holds the
+/// per-pair race stats of the whole stream.  State is
+/// `O(threads · (threads + variables + locks))` plus one entry per distinct
+/// race pair — independent of trace length — and threads are discovered as
+/// their events arrive, so the stream can run over a trace file without
+/// ever materializing a [`Trace`].  [`HbDetector::detect`] is a thin wrapper
+/// that streams a materialized trace through this core (batch = stream +
 /// collect).
 #[derive(Debug)]
 pub struct HbStream {
-    state: HbState,
-    drain: RaceDrain,
+    sync: SyncClocks,
+    /// Access history, dense by variable index.
+    vars: Vec<VarHistory>,
+    sink: RaceSink,
     events: usize,
 }
 
@@ -192,42 +91,41 @@ impl HbStream {
     /// Creates a stream pre-sized for `threads` threads (identical results;
     /// avoids re-allocation when the count is known up front).
     pub fn with_threads(threads: usize) -> Self {
-        HbStream { state: HbState::new(threads), drain: RaceDrain::new(), events: 0 }
+        HbStream {
+            sync: SyncClocks::with_threads(threads),
+            vars: Vec::new(),
+            sink: RaceSink::new(),
+            events: 0,
+        }
     }
 
     /// Processes one event, returning the races detected at it.
-    pub fn on_event(&mut self, event: &Event) -> Vec<Race> {
-        let state = &mut self.state;
-        let thread = event.thread();
+    pub fn on_event(&mut self, event: &Event) -> &[Race] {
+        self.sink.begin_event();
         self.events += 1;
-        match event.kind() {
-            EventKind::Acquire(lock) => {
-                if let Some(lock_clock) = state.lock_clocks.get(&lock).cloned() {
-                    state.clock_mut(thread).join(&lock_clock);
-                }
+        let thread = event.thread();
+        let (var, write) = match event.kind() {
+            EventKind::Read(var) => (var, false),
+            EventKind::Write(var) => (var, true),
+            kind => {
+                self.sync.synchronize(thread, kind);
+                return self.sink.fresh();
             }
-            EventKind::Release(lock) => {
-                let clock = state.clock(thread);
-                state.lock_clocks.insert(lock, clock);
-                state.increment(thread);
-            }
-            EventKind::Read(var) => {
-                state.check_and_record(event, var, RaceKind::Hb);
-            }
-            EventKind::Write(var) => {
-                state.check_and_record(event, var, RaceKind::Hb);
-            }
-            EventKind::Fork(child) => {
-                let clock = state.clock(thread);
-                state.clock_mut(child).join(&clock);
-                state.increment(thread);
-            }
-            EventKind::Join(child) => {
-                let clock = state.clock(child);
-                state.clock_mut(thread).join(&clock);
-            }
-        }
-        self.drain.fresh(&self.state.report)
+        };
+        let HbStream { sync, vars, sink, .. } = self;
+        let clock = sync.clock(thread);
+        let history = dense_slot(vars, var.index());
+        // A write conflicts with earlier reads and writes; a read only with
+        // earlier writes.
+        history.writes.record_races(clock, event, var, RaceKind::Hb, sink);
+        let own = if write {
+            history.reads.record_races(clock, event, var, RaceKind::Hb, sink);
+            &mut history.writes
+        } else {
+            &mut history.reads
+        };
+        own.store(thread.index(), clock.get(thread), event);
+        sink.fresh()
     }
 
     /// The HB timestamp `C_e` of the event just processed — the thread's
@@ -235,7 +133,7 @@ impl HbStream {
     /// forks undone (those events belong to the old local time).
     pub fn timestamp_of_last(&mut self, event: &Event) -> VectorClock {
         let thread = event.thread();
-        let mut clock = self.state.clock(thread);
+        let mut clock = self.sync.clock(thread).clone();
         if matches!(event.kind(), EventKind::Release(_) | EventKind::Fork(_)) {
             let current = clock.get(thread);
             clock.set(thread, current - 1);
@@ -248,19 +146,15 @@ impl HbStream {
         self.events
     }
 
-    /// Races found so far (the report grows as events are pushed).
-    pub fn report(&self) -> &RaceReport {
-        &self.state.report
+    /// The stream's race accounting: per-pair stats and the races of the
+    /// last event.
+    pub fn sink(&self) -> &RaceSink {
+        &self.sink
     }
 
     /// The run's typed counters so far.
     pub fn stats(&self) -> HbStats {
-        HbStats { events: self.events, race_events: self.state.report.len() }
-    }
-
-    /// Ends the stream, returning the accumulated race report.
-    pub fn finish(&mut self) -> RaceReport {
-        std::mem::take(&mut self.state.report)
+        HbStats { events: self.events, race_events: self.sink.race_events() }
     }
 }
 
@@ -314,15 +208,16 @@ impl HbDetector {
 
     fn run(&self, trace: &Trace, keep_timestamps: bool) -> (RaceReport, Option<Vec<VectorClock>>) {
         let mut stream = HbStream::with_threads(trace.num_threads());
+        let mut report = RaceReport::new();
         let mut timestamps = keep_timestamps.then(|| Vec::with_capacity(trace.len()));
 
         for event in trace.events() {
-            stream.on_event(event);
+            report.extend(stream.on_event(event));
             if let Some(timestamps) = timestamps.as_mut() {
                 timestamps.push(stream.timestamp_of_last(event));
             }
         }
-        (stream.finish(), timestamps)
+        (report, timestamps)
     }
 }
 

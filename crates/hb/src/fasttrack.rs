@@ -4,48 +4,29 @@
 //! requirements" as future work (§6).  This module implements the classic
 //! FastTrack optimization for the HB baseline: a variable's last write is
 //! represented by a single epoch `c@t`, and its reads stay an epoch as long
-//! as they are totally ordered, expanding to a full vector clock only when
-//! reads become concurrent ("read-shared").
-
-use std::collections::HashMap;
+//! as they are totally ordered, expanding to one last read per thread (a
+//! vector clock of read times) only when reads become concurrent
+//! ("read-shared").
 
 use rapid_trace::{
-    Event, EventId, EventKind, Location, Race, RaceDrain, RaceKind, RaceReport, Trace, VarId,
+    Event, EventKind, LastAccess, LastAccesses, Race, RaceKind, RaceReport, RaceSink, Trace, VarId,
 };
-use rapid_vc::{Epoch, ThreadId, VectorClock};
+use rapid_vc::Epoch;
 
-#[derive(Debug, Clone, Copy)]
-struct AccessMeta {
-    event: EventId,
-    location: Location,
-}
+use crate::sync::{dense_slot, SyncClocks};
 
-/// Read history of a variable: an epoch while reads are ordered, a vector
-/// clock once they are concurrent.
-#[derive(Debug, Clone)]
-enum ReadState {
-    Epoch(Epoch),
-    Shared(VectorClock),
-}
-
-#[derive(Debug, Clone)]
+/// Per-variable state: the last write as an epoch, and the reads — one
+/// epoch while they are totally ordered, one per thread once concurrent
+/// reads made them *shared*.  `reads` holds the last read of each thread in
+/// the read state (only the epoch's thread while not shared), with its
+/// event for race-pair reporting.
+#[derive(Debug, Clone, Default)]
 struct VarState {
     write: Epoch,
-    write_meta: Option<AccessMeta>,
-    read: ReadState,
-    /// Last read per thread, for race-pair reporting once reads are shared.
-    read_meta: HashMap<ThreadId, AccessMeta>,
-}
-
-impl Default for VarState {
-    fn default() -> Self {
-        VarState {
-            write: Epoch::zero(),
-            write_meta: None,
-            read: ReadState::Epoch(Epoch::zero()),
-            read_meta: HashMap::new(),
-        }
-    }
+    write_access: Option<LastAccess>,
+    read: Epoch,
+    shared: bool,
+    reads: LastAccesses,
 }
 
 /// The FastTrack-style epoch-optimized HB detector.
@@ -58,158 +39,20 @@ pub struct FastTrackDetector {
     _private: (),
 }
 
-#[derive(Debug)]
-struct FtState {
-    clocks: Vec<VectorClock>,
-    lock_clocks: HashMap<rapid_trace::LockId, VectorClock>,
-    vars: HashMap<VarId, VarState>,
-    report: RaceReport,
-}
-
-impl FtState {
-    fn new(threads: usize) -> Self {
-        let clocks = (0..threads.max(1))
-            .map(|t| VectorClock::singleton(ThreadId::new(t as u32), 1))
-            .collect();
-        FtState {
-            clocks,
-            lock_clocks: HashMap::new(),
-            vars: HashMap::new(),
-            report: RaceReport::new(),
-        }
-    }
-
-    fn clock_mut(&mut self, thread: ThreadId) -> &mut VectorClock {
-        let index = thread.index();
-        if index >= self.clocks.len() {
-            for t in self.clocks.len()..=index {
-                self.clocks.push(VectorClock::singleton(ThreadId::new(t as u32), 1));
-            }
-        }
-        &mut self.clocks[index]
-    }
-
-    fn increment(&mut self, thread: ThreadId) {
-        let clock = self.clock_mut(thread);
-        let next = clock.get(thread) + 1;
-        clock.set(thread, next);
-    }
-
-    fn record_race(&mut self, event: &Event, var: VarId, prior: Option<AccessMeta>) {
-        let (first, first_location) = match prior {
-            Some(meta) => (meta.event, meta.location),
-            // The prior access metadata is always kept alongside the epoch;
-            // this fallback never triggers on well-formed state but keeps the
-            // detector total.
-            None => (event.id(), event.location()),
-        };
-        self.report.push(Race {
-            first,
-            second: event.id(),
-            variable: var,
-            first_location,
-            second_location: event.location(),
-            kind: RaceKind::Hb,
-        });
-    }
-
-    fn read(&mut self, event: &Event, var: VarId) {
-        let thread = event.thread();
-        let clock = self.clock_mut(thread).clone();
-        let epoch = Epoch::of_thread(&clock, thread);
-        let state = self.vars.entry(var).or_default();
-
-        // Same-epoch fast path.
-        if let ReadState::Epoch(read) = &state.read {
-            if *read == epoch {
-                return;
-            }
-        }
-
-        // Write-read race check (the write epoch cannot change during a read).
-        let write_unordered = !state.write.happens_before(&clock);
-        let write_meta = state.write_meta;
-
-        // Update read state.
-        match &mut state.read {
-            ReadState::Epoch(read) => {
-                if read.happens_before(&clock) {
-                    *read = epoch;
-                    state.read_meta.clear();
-                } else {
-                    // Concurrent reads: expand to a vector clock.
-                    let mut shared = VectorClock::bottom();
-                    shared.set(read.thread(), read.clock());
-                    shared.set(thread, epoch.clock());
-                    state.read = ReadState::Shared(shared);
-                }
-            }
-            ReadState::Shared(shared) => {
-                shared.set(thread, epoch.clock());
-            }
-        }
-        state
-            .read_meta
-            .insert(thread, AccessMeta { event: event.id(), location: event.location() });
-
-        if write_unordered {
-            self.record_race(event, var, write_meta);
-        }
-    }
-
-    fn write(&mut self, event: &Event, var: VarId) {
-        let thread = event.thread();
-        let clock = self.clock_mut(thread).clone();
-        let epoch = Epoch::of_thread(&clock, thread);
-        let state = self.vars.entry(var).or_default();
-
-        // Same-epoch fast path.
-        if state.write == epoch {
-            return;
-        }
-
-        // Write-write race check.
-        let mut races: Vec<Option<AccessMeta>> = Vec::new();
-        if !state.write.happens_before(&clock) {
-            races.push(state.write_meta);
-        }
-        // Read-write race check.
-        match &state.read {
-            ReadState::Epoch(read) => {
-                if !read.happens_before(&clock) && read.thread() != thread {
-                    races.push(state.read_meta.get(&read.thread()).copied());
-                }
-            }
-            ReadState::Shared(shared) => {
-                for (other, component) in shared.iter() {
-                    if other != thread && component > clock.get(other) {
-                        races.push(state.read_meta.get(&other).copied());
-                    }
-                }
-            }
-        }
-
-        state.write = epoch;
-        state.write_meta = Some(AccessMeta { event: event.id(), location: event.location() });
-
-        for prior in races {
-            self.record_race(event, var, prior);
-        }
-    }
-}
-
 /// The push-based streaming core of the FastTrack detector.
 ///
 /// Feed events in trace order with [`FastTrackStream::on_event`]; each call
 /// returns the races detected at that event.  Per-variable state is a
 /// single epoch in the common case, so the live footprint is
-/// `O(threads + variables + locks)` — independent of trace length.
-/// [`FastTrackDetector::detect`] is a thin wrapper that streams a
-/// materialized trace through this core.
+/// `O(threads + variables + locks)` plus one entry per distinct race pair —
+/// independent of trace length.  [`FastTrackDetector::detect`] is a thin
+/// wrapper that streams a materialized trace through this core.
 #[derive(Debug)]
 pub struct FastTrackStream {
-    state: FtState,
-    drain: RaceDrain,
+    sync: SyncClocks,
+    /// Per-variable state, dense by variable index.
+    vars: Vec<VarState>,
+    sink: RaceSink,
     events: usize,
 }
 
@@ -227,38 +70,77 @@ impl FastTrackStream {
 
     /// Creates a stream pre-sized for `threads` threads.
     pub fn with_threads(threads: usize) -> Self {
-        FastTrackStream { state: FtState::new(threads), drain: RaceDrain::new(), events: 0 }
+        FastTrackStream {
+            sync: SyncClocks::with_threads(threads),
+            vars: Vec::new(),
+            sink: RaceSink::new(),
+            events: 0,
+        }
     }
 
     /// Processes one event, returning the races detected at it.
-    pub fn on_event(&mut self, event: &Event) -> Vec<Race> {
-        let state = &mut self.state;
-        let thread = event.thread();
+    pub fn on_event(&mut self, event: &Event) -> &[Race] {
+        self.sink.begin_event();
         self.events += 1;
         match event.kind() {
-            EventKind::Acquire(lock) => {
-                if let Some(lock_clock) = state.lock_clocks.get(&lock).cloned() {
-                    state.clock_mut(thread).join(&lock_clock);
-                }
-            }
-            EventKind::Release(lock) => {
-                let clock = state.clock_mut(thread).clone();
-                state.lock_clocks.insert(lock, clock);
-                state.increment(thread);
-            }
-            EventKind::Read(var) => state.read(event, var),
-            EventKind::Write(var) => state.write(event, var),
-            EventKind::Fork(child) => {
-                let clock = state.clock_mut(thread).clone();
-                state.clock_mut(child).join(&clock);
-                state.increment(thread);
-            }
-            EventKind::Join(child) => {
-                let clock = state.clock_mut(child).clone();
-                state.clock_mut(thread).join(&clock);
+            EventKind::Read(var) => self.read(event, var),
+            EventKind::Write(var) => self.write(event, var),
+            kind => self.sync.synchronize(event.thread(), kind),
+        }
+        self.sink.fresh()
+    }
+
+    fn read(&mut self, event: &Event, var: VarId) {
+        let thread = event.thread();
+        let FastTrackStream { sync, vars, sink, .. } = self;
+        let clock = sync.clock(thread);
+        let epoch = Epoch::of_thread(clock, thread);
+        let state = dense_slot(vars, var.index());
+
+        // Same-epoch fast path.
+        if !state.shared && state.read == epoch {
+            return;
+        }
+        // Write-read race check.
+        if !state.write.happens_before(clock) {
+            if let Some(write) = &state.write_access {
+                sink.record(write.race_with(event, var, RaceKind::Hb));
             }
         }
-        self.drain.fresh(&self.state.report)
+        if !state.shared {
+            if state.read.happens_before(clock) {
+                state.read = epoch;
+                state.reads.clear();
+            } else {
+                // Concurrent reads: keep every thread's last read.
+                state.shared = true;
+            }
+        }
+        state.reads.store(thread.index(), epoch.clock(), event);
+    }
+
+    fn write(&mut self, event: &Event, var: VarId) {
+        let thread = event.thread();
+        let FastTrackStream { sync, vars, sink, .. } = self;
+        let clock = sync.clock(thread);
+        let epoch = Epoch::of_thread(clock, thread);
+        let state = dense_slot(vars, var.index());
+
+        // Same-epoch fast path.
+        if state.write == epoch {
+            return;
+        }
+        // Write-write race check.
+        if !state.write.happens_before(clock) {
+            if let Some(write) = &state.write_access {
+                sink.record(write.race_with(event, var, RaceKind::Hb));
+            }
+        }
+        // Read-write race check: against the read epoch, or every thread's
+        // last read once shared.
+        state.reads.record_races(clock, event, var, RaceKind::Hb, sink);
+        state.write = epoch;
+        state.write_access = Some(LastAccess::new(epoch.clock(), event.id(), event.location()));
     }
 
     /// Number of events processed so far.
@@ -266,19 +148,15 @@ impl FastTrackStream {
         self.events
     }
 
-    /// Races found so far.
-    pub fn report(&self) -> &RaceReport {
-        &self.state.report
+    /// The stream's race accounting: per-pair stats and the races of the
+    /// last event.
+    pub fn sink(&self) -> &RaceSink {
+        &self.sink
     }
 
     /// The run's typed counters so far.
     pub fn stats(&self) -> crate::HbStats {
-        crate::HbStats { events: self.events, race_events: self.state.report.len() }
-    }
-
-    /// Ends the stream, returning the accumulated race report.
-    pub fn finish(&mut self) -> RaceReport {
-        std::mem::take(&mut self.state.report)
+        crate::HbStats { events: self.events, race_events: self.sink.race_events() }
     }
 }
 
@@ -291,10 +169,7 @@ impl FastTrackDetector {
     /// Runs the epoch-optimized HB analysis over `trace`.
     pub fn detect(&self, trace: &Trace) -> RaceReport {
         let mut stream = FastTrackStream::with_threads(trace.num_threads());
-        for event in trace.events() {
-            stream.on_event(event);
-        }
-        stream.finish()
+        trace.events().iter().flat_map(|event| stream.on_event(event).to_vec()).collect()
     }
 }
 

@@ -16,8 +16,10 @@
 //!   reads/writes are tracked by a single `(thread, clock)` epoch instead of
 //!   a full vector clock.
 //!
-//! Both detectors report [`rapid_trace::RaceReport`]s whose distinct location
-//! pairs are what Table 1 column 7 counts.
+//! Both synchronize through one set of thread and lock clocks and record
+//! races through a [`rapid_trace::RaceSink`]; their batch wrappers collect
+//! [`rapid_trace::RaceReport`]s whose distinct location pairs are what
+//! Table 1 column 7 counts.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 
 pub mod detector;
 pub mod fasttrack;
+mod sync;
 
 pub use detector::{HbDetector, HbStats, HbStream, HbTimestamps};
 pub use fasttrack::{FastTrackDetector, FastTrackStream};

@@ -6,7 +6,7 @@ use std::fmt;
 use rapid_trace::analysis::TraceIndex;
 use rapid_trace::lockctx::LockContext;
 use rapid_trace::reorder::find_race_witness;
-use rapid_trace::{Event, EventId, Location, LockId, Race, RaceDrain, RaceKind, RaceReport, Trace};
+use rapid_trace::{Event, EventId, Location, LockId, Race, RaceKind, RaceReport, RaceSink, Trace};
 use rapid_vc::ThreadId;
 use rapid_wcp::WcpStream;
 
@@ -77,8 +77,7 @@ pub struct McmStream {
     threads_seen: BTreeSet<ThreadId>,
     seen_location_pairs: BTreeSet<(Location, Location)>,
     stats: McmStats,
-    report: RaceReport,
-    drain: RaceDrain,
+    sink: RaceSink,
     events: usize,
 }
 
@@ -92,8 +91,7 @@ impl McmStream {
             threads_seen: BTreeSet::new(),
             seen_location_pairs: BTreeSet::new(),
             stats: McmStats::default(),
-            report: RaceReport::new(),
-            drain: RaceDrain::new(),
+            sink: RaceSink::new(),
             events: 0,
         }
     }
@@ -104,19 +102,26 @@ impl McmStream {
     }
 
     /// Processes one event.  Races are reported in batches: the returned
-    /// vector is non-empty only on the event that completes a window.
-    pub fn on_event(&mut self, event: &Event) -> Vec<Race> {
+    /// slice is non-empty only on the event that completes a window.
+    pub fn on_event(&mut self, event: &Event) -> &[Race] {
+        self.sink.begin_event();
         self.events += 1;
         self.buffer.push(*event);
         if self.buffer.len() >= self.config.window_size.max(1) {
             self.flush_window();
         }
-        self.drain.fresh(&self.report)
+        self.sink.fresh()
     }
 
-    /// Races found so far.
-    pub fn report(&self) -> &RaceReport {
-        &self.report
+    /// The stream's race accounting: per-pair stats and the races of the
+    /// last event (or of the final window, after [`McmStream::finish`]).
+    pub fn sink(&self) -> &RaceSink {
+        &self.sink
+    }
+
+    /// The run's telemetry so far.
+    pub fn stats(&self) -> &McmStats {
+        &self.stats
     }
 
     /// Number of events currently buffered (at most the window size).
@@ -130,12 +135,13 @@ impl McmStream {
     }
 
     /// Ends the stream: analyzes the final partial window and returns the
-    /// accumulated report and telemetry.
-    pub fn finish(&mut self) -> (RaceReport, McmStats) {
+    /// races it witnessed.
+    pub fn finish(&mut self) -> &[Race] {
+        self.sink.begin_event();
         if !self.buffer.is_empty() {
             self.flush_window();
         }
-        (std::mem::take(&mut self.report), std::mem::take(&mut self.stats))
+        self.sink.fresh()
     }
 
     fn flush_window(&mut self) {
@@ -150,7 +156,7 @@ impl McmStream {
             &self.config,
             &self.buffer,
             &held_at_start,
-            &mut self.report,
+            &mut self.sink,
             &mut self.stats,
             &mut self.seen_location_pairs,
         );
@@ -169,7 +175,7 @@ fn analyze_window(
     config: &McmConfig,
     window: &[Event],
     held_at_start: &[(ThreadId, Vec<LockId>)],
-    report: &mut RaceReport,
+    sink: &mut RaceSink,
     stats: &mut McmStats,
     seen_location_pairs: &mut BTreeSet<(Location, Location)>,
 ) {
@@ -200,21 +206,17 @@ fn analyze_window(
         .max()
         .unwrap_or(0);
     let mut wcp_pass = WcpStream::with_threads(window_threads);
-    for event in sub.events() {
-        wcp_pass.on_event(event);
-    }
-    let wcp_races = wcp_pass.finish().report;
     let mut candidates: Vec<(EventId, EventId)> = Vec::new();
     let mut candidate_locations = BTreeSet::new();
-    for race in wcp_races.races() {
-        let location_pair = race.location_pair();
-        if seen_location_pairs.contains(&location_pair)
-            || candidate_locations.contains(&location_pair)
-        {
-            continue;
+    for event in sub.events() {
+        for race in wcp_pass.on_event(event) {
+            let location_pair = race.location_pair();
+            if !seen_location_pairs.contains(&location_pair)
+                && candidate_locations.insert(location_pair)
+            {
+                candidates.push((race.first, race.second));
+            }
         }
-        candidate_locations.insert(location_pair);
-        candidates.push((race.first, race.second));
     }
 
     if candidates.is_empty() {
@@ -247,7 +249,7 @@ fn analyze_window(
                     kind: RaceKind::Mcm,
                 };
                 seen_location_pairs.insert(race.location_pair());
-                report.push(race);
+                sink.record(race);
             }
             None => {
                 stats.budget_exhausted_pairs += 1;
@@ -275,10 +277,12 @@ impl McmDetector {
     /// Runs the windowed analysis, also returning telemetry.
     pub fn detect_with_stats(&self, trace: &Trace) -> (RaceReport, McmStats) {
         let mut stream = McmStream::new(self.config.clone());
+        let mut report = RaceReport::new();
         for event in trace.events() {
-            stream.on_event(event);
+            report.extend(stream.on_event(event));
         }
-        stream.finish()
+        report.extend(stream.finish());
+        (report, std::mem::take(&mut stream.stats))
     }
 }
 
@@ -442,9 +446,9 @@ mod tests {
         for event in trace.events() {
             per_event.push(stream.on_event(event).len());
         }
-        let (report, stats) = stream.finish();
-        assert_eq!(report.distinct_pairs(), 1);
-        assert_eq!(stats.windows, 2);
+        assert!(stream.finish().is_empty(), "the final window holds no race");
+        assert_eq!(stream.sink().len(), 1);
+        assert_eq!(stream.stats().windows, 2);
         assert_eq!(per_event[3], 1, "the race surfaces when the first window closes");
         assert_eq!(per_event.iter().sum::<usize>(), 1);
         assert_eq!(stream.buffered(), 0);

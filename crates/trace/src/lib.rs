@@ -71,7 +71,9 @@ pub use builder::TraceBuilder;
 pub use event::{Event, EventId, EventKind};
 pub use ids::{Location, LockId, VarId};
 pub use names::NameResolver;
-pub use race::{Race, RaceDrain, RaceKind, RaceReport};
+pub use race::{
+    LastAccess, LastAccesses, PairKey, PairStats, Race, RaceKind, RaceReport, RaceSink,
+};
 pub use rapid_vc::ThreadId;
 pub use stats::TraceStats;
 pub use trace::Trace;

@@ -1,11 +1,16 @@
-//! Race reports: pairs of conflicting events unordered by a partial order.
+//! Races — pairs of conflicting events unordered by a partial order — and
+//! the race accounting shared by the streaming detectors: the bounded
+//! [`RaceSink`] they record into and the per-variable [`LastAccesses`]
+//! tables HB and WCP check new accesses against.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use rapid_vc::{ThreadId, VectorClock};
 use serde::{Deserialize, Serialize};
 
-use crate::event::EventId;
+use crate::event::{Event, EventId};
 use crate::ids::{Location, VarId};
 use crate::trace::Trace;
 
@@ -191,57 +196,218 @@ impl RaceReport {
     }
 }
 
-/// A drain cursor over a growing [`RaceReport`]: hands out each recorded
-/// race exactly once, in detection order.
+/// Per-pair aggregates of race events: how many were reported and the
+/// smallest separation among them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairStats {
+    /// Number of race events reported for this pair (sums under merge).
+    pub race_events: usize,
+    /// Minimum event separation among the pair's races.  Distances are
+    /// trace-local, so merging keeps the minimum.
+    pub min_distance: usize,
+}
+
+impl PairStats {
+    /// Folds another pair's stats into this one.
+    pub fn merge(&mut self, other: &PairStats) {
+        self.race_events += other.race_events;
+        self.min_distance = self.min_distance.min(other.min_distance);
+    }
+}
+
+/// The key a [`RaceSink`] aggregates under: the variable and the normalized
+/// location pair ([`Race::location_pair`]).
+pub type PairKey = (VarId, Location, Location);
+
+/// A multiply-rotate hasher for [`PairKey`]s.  The keys are small dense
+/// integers, so std's DoS-resistant default would cost several times more
+/// per race event for nothing.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Where a streaming detector records its races.
 ///
-/// Every streaming detector core appends races to its report as events are
-/// pushed, and its `on_event` must return only the races flagged *at that
-/// event*.  The cursor encapsulates that pattern (previously hand-rolled as
-/// an `emitted` counter in each core): call [`RaceDrain::fresh`] after
-/// updating the report and it returns the not-yet-emitted suffix.
+/// It keeps two things.  The races flagged at the current event are what
+/// the detector's `on_event` returns; [`RaceSink::begin_event`] forgets them
+/// when the next event starts.  Every race is also folded into one
+/// [`PairStats`] per `(variable, location pair)`, so the sink's size is
+/// bounded by the number of distinct pairs, however many race events a
+/// stream produces.
 ///
 /// # Examples
 ///
 /// ```
-/// use rapid_trace::{RaceDrain, RaceReport};
+/// use rapid_trace::{EventId, Location, Race, RaceKind, RaceSink, VarId};
 ///
-/// let mut report = RaceReport::new();
-/// let mut drain = RaceDrain::new();
-/// assert!(drain.fresh(&report).is_empty());
-/// # let some_race = rapid_trace::Race {
-/// #     first: rapid_trace::EventId::new(0),
-/// #     second: rapid_trace::EventId::new(1),
-/// #     variable: rapid_trace::VarId::new(0),
-/// #     first_location: rapid_trace::Location::new(0),
-/// #     second_location: rapid_trace::Location::new(1),
-/// #     kind: rapid_trace::RaceKind::Hb,
-/// # };
-/// report.push(some_race);
-/// assert_eq!(drain.fresh(&report).len(), 1);
-/// assert!(drain.fresh(&report).is_empty(), "each race is emitted once");
+/// let race = |first: u32, second: u32| Race {
+///     first: EventId::new(first),
+///     second: EventId::new(second),
+///     variable: VarId::new(0),
+///     first_location: Location::new(1),
+///     second_location: Location::new(2),
+///     kind: RaceKind::Hb,
+/// };
+/// let mut sink = RaceSink::new();
+/// for second in 1..=1_000 {
+///     sink.begin_event();
+///     sink.record(race(second - 1, second));
+///     assert_eq!(sink.fresh().len(), 1);
+/// }
+/// assert_eq!(sink.race_events(), 1_000);
+/// assert_eq!(sink.len(), 1, "one entry per distinct pair");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RaceDrain {
-    emitted: usize,
+#[derive(Debug, Default)]
+pub struct RaceSink {
+    fresh: Vec<Race>,
+    pairs: HashMap<PairKey, PairStats, BuildHasherDefault<PairHasher>>,
+    race_events: usize,
 }
 
-impl RaceDrain {
-    /// Creates a cursor at the start of a report.
+impl RaceSink {
+    /// Creates an empty sink.
     pub fn new() -> Self {
-        RaceDrain::default()
+        RaceSink::default()
     }
 
-    /// Returns the races recorded in `report` since the previous call,
-    /// advancing the cursor past them.
-    pub fn fresh(&mut self, report: &RaceReport) -> Vec<Race> {
-        let fresh = report.races()[self.emitted..].to_vec();
-        self.emitted = report.len();
-        fresh
+    /// Starts the next event: the races of the previous one are forgotten
+    /// (their pair stats stay).
+    #[inline]
+    pub fn begin_event(&mut self) {
+        self.fresh.clear();
     }
 
-    /// Number of races emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
+    /// Records one race flagged at the current event.
+    pub fn record(&mut self, race: Race) {
+        let (first, second) = race.location_pair();
+        let distance = race.distance();
+        self.pairs
+            .entry((race.variable, first, second))
+            .and_modify(|stats| stats.min_distance = stats.min_distance.min(distance))
+            .or_insert(PairStats { race_events: 0, min_distance: distance })
+            .race_events += 1;
+        self.race_events += 1;
+        self.fresh.push(race);
+    }
+
+    /// The races recorded since the last [`RaceSink::begin_event`].
+    #[inline]
+    pub fn fresh(&self) -> &[Race] {
+        &self.fresh
+    }
+
+    /// Total race events recorded (not deduplicated).
+    #[inline]
+    pub fn race_events(&self) -> usize {
+        self.race_events
+    }
+
+    /// Number of retained `(variable, location pair)` entries.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// Returns true when no race was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// Every distinct `(variable, location pair)` with its stats, in no
+    /// particular order.
+    pub fn pairs(&self) -> impl Iterator<Item = (PairKey, PairStats)> + '_ {
+        self.pairs.iter().map(|(&key, &stats)| (key, stats))
+    }
+}
+
+/// One thread's last access of one kind to a variable: the thread's local
+/// time at the access, the event and its location.  Local time 0 marks an
+/// empty slot — every clock-based detector starts local time at 1.
+#[derive(Debug, Clone, Copy)]
+pub struct LastAccess {
+    epoch: u64,
+    event: EventId,
+    location: Location,
+}
+
+impl LastAccess {
+    const EMPTY: LastAccess = LastAccess::new(0, EventId::new(0), Location::new(0));
+
+    /// The access `event` at local time `epoch`.
+    pub const fn new(epoch: u64, event: EventId, location: Location) -> Self {
+        LastAccess { epoch, event, location }
+    }
+
+    /// The race between this earlier access and the later `event` on `var`.
+    #[inline]
+    pub fn race_with(&self, event: &Event, var: VarId, kind: RaceKind) -> Race {
+        Race {
+            first: self.event,
+            second: event.id(),
+            variable: var,
+            first_location: self.location,
+            second_location: event.location(),
+            kind,
+        }
+    }
+}
+
+/// The last access of one kind (reads, or writes) to one variable by each
+/// thread, dense by thread index and grown only to the highest thread that
+/// made one.  HB and WCP keep one table per variable and kind and report a
+/// race against every slot the accessing thread's clock does not cover.
+#[derive(Debug, Clone, Default)]
+pub struct LastAccesses {
+    slots: Vec<LastAccess>,
+}
+
+impl LastAccesses {
+    /// Makes `event` the last access of `thread` (index) at local time
+    /// `epoch`, which must be positive.
+    #[inline]
+    pub fn store(&mut self, thread: usize, epoch: u64, event: &Event) {
+        if self.slots.len() <= thread {
+            self.slots.resize(thread + 1, LastAccess::EMPTY);
+        }
+        self.slots[thread] = LastAccess::new(epoch, event.id(), event.location());
+    }
+
+    /// Empties every slot.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+
+    /// Records in `sink` a race between `event` and each stored access by
+    /// another thread whose local time `time` does not cover.
+    #[inline]
+    pub fn record_races(
+        &self,
+        time: &VectorClock,
+        event: &Event,
+        var: VarId,
+        kind: RaceKind,
+        sink: &mut RaceSink,
+    ) {
+        let own = event.thread().index();
+        for (other, access) in self.slots.iter().enumerate() {
+            if other != own && access.epoch > time.get(ThreadId::new(other as u32)) {
+                sink.record(access.race_with(event, var, kind));
+            }
+        }
     }
 }
 
@@ -253,6 +419,12 @@ impl FromIterator<Race> for RaceReport {
 
 impl Extend<Race> for RaceReport {
     fn extend<I: IntoIterator<Item = Race>>(&mut self, iter: I) {
+        self.races.extend(iter);
+    }
+}
+
+impl<'a> Extend<&'a Race> for RaceReport {
+    fn extend<I: IntoIterator<Item = &'a Race>>(&mut self, iter: I) {
         self.races.extend(iter);
     }
 }

@@ -205,6 +205,21 @@ impl VectorClock {
     }
 }
 
+/// Joins `clocks[src]` into `clocks[dst]` without cloning — how a per-thread
+/// clock table applies a fork or join edge.  A no-op when the indices
+/// coincide, which only malformed self-fork/join traces produce.
+pub fn join_at(clocks: &mut [VectorClock], dst: usize, src: usize) {
+    if dst == src {
+        return;
+    }
+    let (low, high) = clocks.split_at_mut(dst.max(src));
+    if dst < src {
+        low[dst].join(&high[0]);
+    } else {
+        high[0].join(&low[src]);
+    }
+}
+
 impl PartialOrd for VectorClock {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         match self.compare(other) {

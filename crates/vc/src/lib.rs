@@ -45,7 +45,7 @@ mod epoch;
 mod pool;
 mod thread_id;
 
-pub use clock::{ClockOrdering, VectorClock};
+pub use clock::{join_at, ClockOrdering, VectorClock};
 pub use epoch::Epoch;
 pub use pool::ClockPool;
 pub use thread_id::ThreadId;

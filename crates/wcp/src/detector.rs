@@ -51,10 +51,9 @@ use std::collections::VecDeque;
 
 use rapid_trace::lockctx::LockContext;
 use rapid_trace::{
-    Event, EventId, EventKind, Location, LockId, Race, RaceDrain, RaceKind, RaceReport, Trace,
-    VarId,
+    Event, EventKind, LastAccesses, LockId, Race, RaceKind, RaceReport, RaceSink, Trace, VarId,
 };
-use rapid_vc::{ClockPool, Epoch, ThreadId, VectorClock};
+use rapid_vc::{join_at, ClockPool, Epoch, ThreadId, VectorClock};
 
 use crate::stats::WcpStats;
 use crate::timestamps::WcpTimestamps;
@@ -117,14 +116,6 @@ pub struct WcpDetector {
     _private: (),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LastAccess {
-    /// Local time `N_e` of the accessing thread at the access.
-    epoch: u64,
-    event: EventId,
-    location: Location,
-}
-
 /// The cached witness of the last race-free slow-path access of one kind
 /// (read or write) to a variable; see the module docs for the exact validity
 /// conditions.  `epoch` is `version@thread` — [`Epoch::zero`] means "no
@@ -152,10 +143,10 @@ struct VarState {
     read_clock: VectorClock,
     /// `W_x`: join of the WCP times of all writes of `x` so far.
     write_clock: VectorClock,
-    /// Last read per thread (dense by thread index).
-    reads: Vec<Option<LastAccess>>,
-    /// Last write per thread (dense by thread index).
-    writes: Vec<Option<LastAccess>>,
+    /// Last read per thread, at local time `N_e`.
+    reads: LastAccesses,
+    /// Last write per thread, at local time `N_e`.
+    writes: LastAccesses,
     /// Rule (a) release tables, one entry per lock whose critical sections
     /// accessed `x` (linear scan: variables are protected by few locks).
     rel: Vec<RelEntry>,
@@ -311,59 +302,7 @@ struct WcpState {
     /// for the normative definition.
     queue_entries: usize,
     stats: WcpStats,
-    report: RaceReport,
-}
-
-/// Joins `clocks[src]` into `clocks[dst]` without cloning (no-op when the
-/// indices coincide, which only malformed self-fork/join traces produce).
-fn join_at(clocks: &mut [VectorClock], dst: usize, src: usize) {
-    if dst == src {
-        return;
-    }
-    let (low, high) = clocks.split_at_mut(dst.max(src));
-    if dst < src {
-        low[dst].join(&high[0]);
-    } else {
-        high[0].join(&low[src]);
-    }
-}
-
-/// Reports a race against every recorded last access in `priors` (skipping
-/// the accessing thread itself) whose local time is not known to `time`.
-#[allow(clippy::too_many_arguments)]
-fn record_prior_races(
-    priors: &[Option<LastAccess>],
-    skip: usize,
-    time: &VectorClock,
-    event: &Event,
-    var: VarId,
-    stats: &mut WcpStats,
-    report: &mut RaceReport,
-) {
-    for (other, slot) in priors.iter().enumerate() {
-        if other == skip {
-            continue;
-        }
-        let Some(access) = slot else { continue };
-        if access.epoch > time.get(ThreadId::new(other as u32)) {
-            stats.race_events += 1;
-            report.push(Race {
-                first: access.event,
-                second: event.id(),
-                variable: var,
-                first_location: access.location,
-                second_location: event.location(),
-                kind: RaceKind::Wcp,
-            });
-        }
-    }
-}
-
-fn store_access(table: &mut Vec<Option<LastAccess>>, thread: usize, access: LastAccess) {
-    if table.len() <= thread {
-        table.resize(thread + 1, None);
-    }
-    table[thread] = Some(access);
+    sink: RaceSink,
 }
 
 impl WcpState {
@@ -385,7 +324,7 @@ impl WcpState {
             scratch: VectorClock::bottom(),
             queue_entries: 0,
             stats: WcpStats::default(),
-            report: RaceReport::new(),
+            sink: RaceSink::new(),
         };
         for t in 0..threads {
             state.ensure_thread(ThreadId::new(t as u32));
@@ -630,7 +569,7 @@ impl WcpState {
         let index = thread.index();
         self.ensure_var(var);
         let depth = self.lockctx.depth(thread);
-        let WcpState { config, local, wcp, vars, lockctx, scratch, stats, report, version, .. } =
+        let WcpState { config, local, wcp, vars, lockctx, scratch, stats, sink, version, .. } =
             self;
         let state = &mut vars[var.index()];
         let local = local[index];
@@ -648,11 +587,7 @@ impl WcpState {
             {
                 stats.clock_joins += 1 + u64::from(cache.rule_a_joins);
                 stats.epoch_fast_reads += 1;
-                store_access(
-                    &mut state.reads,
-                    index,
-                    LastAccess { epoch: local, event: event.id(), location: event.location() },
-                );
+                state.reads.store(index, local, event);
                 return;
             }
         }
@@ -686,18 +621,14 @@ impl WcpState {
         // Race check: all earlier writes must be WCP-ordered before us.
         let raced = !state.write_clock.le(scratch);
         if raced {
-            record_prior_races(&state.writes, index, scratch, event, var, stats, report);
+            state.writes.record_races(scratch, event, var, RaceKind::Wcp, sink);
         }
 
         // Update `R_x` and the access history.
         stats.clock_joins += 1;
         state.read_clock.join(scratch);
         state.read_gen += 1;
-        store_access(
-            &mut state.reads,
-            index,
-            LastAccess { epoch: local, event: event.id(), location: event.location() },
-        );
+        state.reads.store(index, local, event);
         state.read_cache = if raced {
             AccessCache::default()
         } else {
@@ -716,7 +647,7 @@ impl WcpState {
         let index = thread.index();
         self.ensure_var(var);
         let depth = self.lockctx.depth(thread);
-        let WcpState { config, local, wcp, vars, lockctx, scratch, stats, report, version, .. } =
+        let WcpState { config, local, wcp, vars, lockctx, scratch, stats, sink, version, .. } =
             self;
         let state = &mut vars[var.index()];
         let local = local[index];
@@ -742,11 +673,7 @@ impl WcpState {
             {
                 stats.clock_joins += 1 + u64::from(cache.rule_a_joins);
                 stats.epoch_fast_writes += 1;
-                store_access(
-                    &mut state.writes,
-                    index,
-                    LastAccess { epoch: local, event: event.id(), location: event.location() },
-                );
+                state.writes.store(index, local, event);
                 return;
             }
         }
@@ -783,21 +710,17 @@ impl WcpState {
         let reads_unordered = !state.read_clock.le(scratch);
         let raced = writes_unordered || reads_unordered;
         if writes_unordered {
-            record_prior_races(&state.writes, index, scratch, event, var, stats, report);
+            state.writes.record_races(scratch, event, var, RaceKind::Wcp, sink);
         }
         if reads_unordered {
-            record_prior_races(&state.reads, index, scratch, event, var, stats, report);
+            state.reads.record_races(scratch, event, var, RaceKind::Wcp, sink);
         }
 
         // Update `W_x` and the access history.
         stats.clock_joins += 1;
         state.write_clock.join(scratch);
         state.write_gen += 1;
-        store_access(
-            &mut state.writes,
-            index,
-            LastAccess { epoch: local, event: event.id(), location: event.location() },
-        );
+        state.writes.store(index, local, event);
         state.write_cache = if raced {
             AccessCache::default()
         } else {
@@ -854,12 +777,13 @@ impl WcpState {
 /// The push-based streaming core of Algorithm 1.
 ///
 /// Feed events in trace order with [`WcpStream::on_event`]; each call
-/// returns the races flagged at that event, and [`WcpStream::finish`] yields
-/// the accumulated [`WcpOutcome`].  The stream never holds the trace: its
-/// live state is the per-thread/per-lock clocks, the per-variable summary
-/// clocks, and the Rule (b) section FIFOs, whose occupancy is reported in
-/// [`WcpStats`] (worst-case linear per Theorem 4, tiny in practice — Table 1
-/// column 11).
+/// returns the races flagged at that event, [`WcpStream::sink`] holds the
+/// per-pair race stats, and [`WcpStream::finish`] yields the run's
+/// [`WcpStats`].  The stream never holds the trace: its live state is the
+/// per-thread/per-lock clocks, the per-variable summary clocks, one race
+/// entry per distinct pair, and the Rule (b) section FIFOs, whose occupancy
+/// is reported in [`WcpStats`] (worst-case linear per Theorem 4, tiny in
+/// practice — Table 1 column 11).
 ///
 /// Threads may be *discovered mid-stream* (their first event, or a `fork`
 /// targeting them, registers them), and on well-formed traces discovery
@@ -879,7 +803,6 @@ impl WcpState {
 /// timestamps as the original whole-trace algorithm.
 pub struct WcpStream {
     state: WcpState,
-    drain: RaceDrain,
 }
 
 impl Default for WcpStream {
@@ -904,12 +827,13 @@ impl WcpStream {
     /// Creates a stream with an explicit [`WcpConfig`] (the differential
     /// suite uses [`WcpConfig::reference`] here).
     pub fn with_config(threads: usize, config: WcpConfig) -> Self {
-        WcpStream { state: WcpState::new(threads, config), drain: RaceDrain::new() }
+        WcpStream { state: WcpState::new(threads, config) }
     }
 
     /// Processes one event, returning the races flagged at it.
-    pub fn on_event(&mut self, event: &Event) -> Vec<Race> {
+    pub fn on_event(&mut self, event: &Event) -> &[Race] {
         let state = &mut self.state;
+        state.sink.begin_event();
         let thread = event.thread();
         state.ensure_thread(thread);
         if let Some(target) = event.kind().target_thread() {
@@ -943,7 +867,7 @@ impl WcpStream {
             EventKind::Join(child) => state.join(thread, child),
         }
 
-        self.drain.fresh(&self.state.report)
+        self.state.sink.fresh()
     }
 
     /// The WCP time `C_t` of `thread` after the last processed event
@@ -957,9 +881,10 @@ impl WcpStream {
         self.state.stats.events
     }
 
-    /// Races found so far.
-    pub fn report(&self) -> &RaceReport {
-        &self.state.report
+    /// The stream's race accounting: per-pair stats and the races of the
+    /// last event.
+    pub fn sink(&self) -> &RaceSink {
+        &self.state.sink
     }
 
     /// Live logical occupancy of the Rule (b) queues — the quantity whose
@@ -974,18 +899,16 @@ impl WcpStream {
         self.state.locks.iter().map(|lock| lock.history.entries.len()).sum()
     }
 
-    /// Ends the stream, returning races and telemetry.  Thread and lock
-    /// counts in the stats reflect what the stream has seen.
-    pub fn finish(&mut self) -> WcpOutcome {
-        self.state.stats.threads = self.state.active_count;
-        self.state.stats.locks = self.state.locks_seen;
-        self.state.stats.pool_taken = self.state.pool.taken();
-        self.state.stats.pool_recycled = self.state.pool.recycled();
-        WcpOutcome {
-            report: std::mem::take(&mut self.state.report),
-            stats: std::mem::take(&mut self.state.stats),
-            timestamps: None,
-        }
+    /// Ends the stream, returning its telemetry.  Thread and lock counts
+    /// reflect what the stream has seen.
+    pub fn finish(&mut self) -> WcpStats {
+        let state = &mut self.state;
+        state.stats.threads = state.active_count;
+        state.stats.locks = state.locks_seen;
+        state.stats.race_events = state.sink.race_events();
+        state.stats.pool_taken = state.pool.taken();
+        state.stats.pool_recycled = state.pool.recycled();
+        std::mem::take(&mut state.stats)
     }
 }
 
@@ -1014,22 +937,22 @@ impl WcpDetector {
 
     fn run(&self, trace: &Trace, keep_timestamps: bool) -> WcpOutcome {
         let mut stream = WcpStream::with_threads(trace.num_threads());
+        let mut report = RaceReport::new();
         let mut timestamps = keep_timestamps.then(|| Vec::with_capacity(trace.len()));
 
         for event in trace.events() {
-            stream.on_event(event);
+            report.extend(stream.on_event(event));
             if let Some(timestamps) = timestamps.as_mut() {
                 timestamps.push(stream.current_time(event.thread()));
             }
         }
 
-        let mut outcome = stream.finish();
+        let mut stats = stream.finish();
         // The batch run knows the trace's full alphabet; report it even for
         // threads/locks that are interned but never perform an event.
-        outcome.stats.threads = trace.num_threads();
-        outcome.stats.locks = trace.num_locks();
-        outcome.timestamps = timestamps.map(WcpTimestamps::new);
-        outcome
+        stats.threads = trace.num_threads();
+        stats.locks = trace.num_locks();
+        WcpOutcome { report, stats, timestamps: timestamps.map(WcpTimestamps::new) }
     }
 }
 
@@ -1040,11 +963,30 @@ mod tests {
     use rapid_gen::lower_bound::{bits_of, lower_bound_trace};
     use rapid_gen::random::RandomTraceConfig;
     use rapid_hb::HbDetector;
-    use rapid_trace::TraceBuilder;
+    use rapid_trace::{EventId, TraceBuilder};
     use std::collections::BTreeSet;
 
     fn racy_variables(report: &RaceReport) -> BTreeSet<VarId> {
         report.races().iter().map(|race| race.variable).collect()
+    }
+
+    fn race_key(race: &Race) -> (EventId, EventId, VarId) {
+        (race.first, race.second, race.variable)
+    }
+
+    fn key(report: &RaceReport) -> BTreeSet<(EventId, EventId, VarId)> {
+        report.races().iter().map(race_key).collect()
+    }
+
+    /// The race events of a discovery-mode stream (no threads registered).
+    fn discovery_run(trace: &Trace) -> BTreeSet<(EventId, EventId, VarId)> {
+        let mut stream = WcpStream::new();
+        trace
+            .events()
+            .iter()
+            .flat_map(|event| stream.on_event(event).to_vec())
+            .map(|race| race_key(&race))
+            .collect()
     }
 
     #[test]
@@ -1205,7 +1147,7 @@ mod tests {
             2,
             "a closed section costs 2 entries per other known thread"
         );
-        let stats = stream.finish().stats;
+        let stats = stream.finish();
         assert_eq!(stats.max_queue_entries, 2);
         assert_eq!(stats.queue_enqueues, 2);
     }
@@ -1349,17 +1291,10 @@ mod tests {
             let trace = rapid_trace::format::parse_std(&announced).expect("valid trace text");
 
             let batch = WcpDetector::new().detect(&trace);
-            let mut stream = WcpStream::new();
-            for event in trace.events() {
-                stream.on_event(event);
-            }
-            let streamed = stream.finish().report;
-            let key = |report: &RaceReport| -> BTreeSet<(EventId, EventId, VarId)> {
-                report.races().iter().map(|race| (race.first, race.second, race.variable)).collect()
-            };
+            let streamed = discovery_run(&trace);
             assert_eq!(
                 key(&batch),
-                key(&streamed),
+                streamed,
                 "seed {seed}: discovery-mode stream diverged from batch"
             );
         }
@@ -1386,17 +1321,10 @@ mod tests {
             let trace = config.generate();
 
             let batch = WcpDetector::new().detect(&trace);
-            let mut stream = WcpStream::new();
-            for event in trace.events() {
-                stream.on_event(event);
-            }
-            let streamed = stream.finish().report;
-            let key = |report: &RaceReport| -> BTreeSet<(EventId, EventId, VarId)> {
-                report.races().iter().map(|race| (race.first, race.second, race.variable)).collect()
-            };
+            let streamed = discovery_run(&trace);
             assert_eq!(
                 key(&batch),
-                key(&streamed),
+                streamed,
                 "seed {seed}: unannounced-thread stream diverged from batch"
             );
         }
@@ -1436,15 +1364,12 @@ mod tests {
         let batch = WcpDetector::new().detect(&trace);
         let mut stream = WcpStream::new();
         let mut max_retained = 0;
+        let mut streamed = BTreeSet::new();
         for event in trace.events() {
-            stream.on_event(event);
+            streamed.extend(stream.on_event(event).iter().map(race_key));
             max_retained = max_retained.max(stream.retained_sections());
         }
-        let streamed = stream.finish().report;
         assert!(max_retained <= 4, "sections must still drain: {max_retained}");
-        let key = |report: &RaceReport| -> BTreeSet<(EventId, EventId, VarId)> {
-            report.races().iter().map(|race| (race.first, race.second, race.variable)).collect()
-        };
-        assert_eq!(key(&batch), key(&streamed));
+        assert_eq!(key(&batch), streamed);
     }
 }

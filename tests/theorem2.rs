@@ -4,7 +4,10 @@
 //! The left side is computed by the linear-time detector (`rapid-wcp`), the
 //! right side by the independent closure engine (`rapid-cp`).  The property
 //! is checked on the paper's figures, on the lower-bound family, and on
-//! proptest-generated random workloads.
+//! proptest-generated random workloads.  The streaming WCP and HB cores'
+//! exact race events are checked against the closure as well.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use rapid::cp::closure::{ClosureEngine, OrderKind};
@@ -12,6 +15,74 @@ use rapid::gen::figures;
 use rapid::gen::lower_bound::{bits_of, lower_bound_trace};
 use rapid::gen::random::RandomTraceConfig;
 use rapid::prelude::*;
+
+/// A race event: the earlier access, the later one, and their variable.
+type RaceEvent = (EventId, EventId, VarId);
+
+/// The race events a streaming core reports: for each access, every other
+/// thread's last conflicting access that the order does not put before it —
+/// computed here from the closure instead of from clocks.  Conflicting means
+/// the other thread's last write, plus its last read when the access is a
+/// write.
+fn closure_race_events(
+    trace: &Trace,
+    engine: &ClosureEngine,
+    kind: OrderKind,
+) -> BTreeSet<RaceEvent> {
+    let mut last_reads: BTreeMap<(VarId, ThreadId), EventId> = BTreeMap::new();
+    let mut last_writes: BTreeMap<(VarId, ThreadId), EventId> = BTreeMap::new();
+    let mut expected = BTreeSet::new();
+    for event in trace.events() {
+        let (var, write) = match event.kind() {
+            EventKind::Read(var) => (var, false),
+            EventKind::Write(var) => (var, true),
+            _ => continue,
+        };
+        let conflicting = if write { vec![&last_writes, &last_reads] } else { vec![&last_writes] };
+        for table in conflicting {
+            for (&(_, thread), &prior) in
+                table.range((var, ThreadId::new(0))..=(var, ThreadId::new(u32::MAX)))
+            {
+                if thread != event.thread() && !engine.ordered(kind, prior, event.id()) {
+                    expected.insert((prior, event.id(), var));
+                }
+            }
+        }
+        let own = if write { &mut last_writes } else { &mut last_reads };
+        own.insert((var, event.thread()), event.id());
+    }
+    expected
+}
+
+/// The race events `on_event` returns over the whole trace.
+fn streamed_race_events(
+    trace: &Trace,
+    on_event: impl FnMut(&Event) -> Vec<Race>,
+) -> BTreeSet<RaceEvent> {
+    trace
+        .events()
+        .iter()
+        .flat_map(on_event)
+        .map(|race| (race.first, race.second, race.variable))
+        .collect()
+}
+
+/// The exact race events of the WCP and HB streams equal the closure's.
+fn assert_race_events_match_closure(trace: &Trace, context: &str) {
+    let engine = ClosureEngine::new(trace);
+    let mut wcp = WcpStream::with_threads(trace.num_threads());
+    let mut hb = HbStream::with_threads(trace.num_threads());
+    assert_eq!(
+        streamed_race_events(trace, |event| wcp.on_event(event).to_vec()),
+        closure_race_events(trace, &engine, OrderKind::Wcp),
+        "{context}: WCP race events differ from the closure's"
+    );
+    assert_eq!(
+        streamed_race_events(trace, |event| hb.on_event(event).to_vec()),
+        closure_race_events(trace, &engine, OrderKind::Hb),
+        "{context}: HB race events differ from the closure's"
+    );
+}
 
 fn assert_theorem2(trace: &Trace, context: &str) {
     let outcome = WcpDetector::new().analyze_with_timestamps(trace);
@@ -36,6 +107,13 @@ fn assert_theorem2(trace: &Trace, context: &str) {
 fn theorem2_holds_on_all_figures() {
     for figure in figures::paper_figures() {
         assert_theorem2(&figure.trace, figure.name);
+    }
+}
+
+#[test]
+fn race_events_match_closure_on_all_figures() {
+    for figure in figures::paper_figures() {
+        assert_race_events_match_closure(&figure.trace, figure.name);
     }
 }
 
@@ -95,8 +173,8 @@ proptest! {
         assert_theorem2(&trace, &format!("proptest seed {seed}"));
     }
 
-    /// The race *reports* agree as well: the set of racy variables found by
-    /// the streaming detector equals the set found by the closure engine.
+    /// The race *reports* agree as well: the exact race events of the WCP
+    /// and HB streams equal the ones the closure engine implies.
     #[test]
     fn race_reports_agree_with_closure(
         seed in 0u64..10_000,
@@ -113,18 +191,6 @@ proptest! {
             ..RandomTraceConfig::default()
         };
         let trace = config.generate();
-        let detector: std::collections::BTreeSet<VarId> = WcpDetector::new()
-            .detect(&trace)
-            .races()
-            .iter()
-            .map(|race| race.variable)
-            .collect();
-        let closure: std::collections::BTreeSet<VarId> = ClosureEngine::new(&trace)
-            .races(rapid::cp::closure::OrderKind::Wcp)
-            .races()
-            .iter()
-            .map(|race| race.variable)
-            .collect();
-        prop_assert_eq!(detector, closure);
+        assert_race_events_match_closure(&trace, &format!("proptest seed {seed}"));
     }
 }
