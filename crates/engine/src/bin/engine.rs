@@ -715,16 +715,17 @@ fn run(options: &Options) -> Result<bool, String> {
         let mut engine = build_engine(options, 0)?;
         let mut reader = open_reader(options, path)?;
         let source = reader.source();
-        let online = options.print_races && !options.quiet;
-        while let Some(next) = reader.next() {
-            let event = next.map_err(|error| format!("cannot parse {path}: {error}"))?;
-            if online {
+        if options.print_races && !options.quiet {
+            // Online reporting needs each event's races as they are flagged,
+            // so this path fans out one event at a time.
+            while let Some(next) = reader.next() {
+                let event = next.map_err(|error| format!("cannot parse {path}: {error}"))?;
                 engine.on_event_with(&event, |detector, race| {
                     println!("{}", online_race_line(reader.names(), detector, race));
                 });
-            } else {
-                engine.on_event(&event);
             }
+        } else {
+            engine.run(&mut reader).map_err(|error| format!("cannot parse {path}: {error}"))?;
         }
         runs = engine.finish(reader.names());
         println!(

@@ -16,10 +16,12 @@ pub struct DetectorRun {
     /// Cumulative wall-clock time spent inside this detector (its
     /// `on_event` and `finish` calls only — parsing and the other detectors
     /// are excluded).  Accounting costs one monotonic clock read per
-    /// detector per event (boundaries are shared between adjacent
-    /// detectors), so detectors running at tens of nanoseconds per event
-    /// carry a measurable floor from the timer itself; treat sub-µs/event
-    /// comparisons across harness versions accordingly.
+    /// detector per block of up to 4096 events on [`Engine::run`],
+    /// [`Engine::run_trace`] and [`Engine::on_event`] (a block of one), and
+    /// one per detector per event on [`Engine::on_event_with`]; boundaries
+    /// are shared between adjacent detectors.  On the per-event paths a
+    /// detector running at tens of nanoseconds per event carries a
+    /// measurable floor from the timer itself.
     ///
     /// Under [`DetectorRun::merge`] times **sum**: for runs folded from
     /// parallel shards this is the total detector-CPU time across workers,
@@ -46,6 +48,10 @@ impl DetectorRun {
     }
 }
 
+/// Events per fan-out block in [`Engine::run`] and [`Engine::run_trace`]:
+/// the `.rwf` v2 EVENTS block size, 80 KiB of buffered events.
+const BLOCK: usize = 4096;
+
 struct Registered {
     detector: Box<dyn Detector>,
     /// Cached display name, so per-event sinks don't re-allocate it.
@@ -55,14 +61,22 @@ struct Registered {
 
 /// A single-pass, push-based analysis driver.
 ///
-/// Register any number of [`Detector`]s, then feed each event of the stream
-/// exactly once with [`Engine::on_event`] (or drive a whole source with
-/// [`Engine::run`] / [`Engine::run_trace`]); every registered detector sees
+/// Register any number of [`Detector`]s, then drive a whole source with
+/// [`Engine::run`] / [`Engine::run_trace`] (or feed each event of the stream
+/// exactly once with [`Engine::on_event`]); every registered detector sees
 /// every event, and per-detector wall-clock time is accounted separately.
 /// Because detectors are streaming cores, total live memory is the sum of
 /// the detectors' states — the trace itself is never materialized on this
 /// path, so a multi-gigabyte trace file can be analyzed in
 /// `O(threads · variables + distinct race pairs + window)` memory.
+///
+/// `run`, `run_trace` and `on_event` fan events out in blocks — up to 4096
+/// events (the `.rwf` v2 EVENTS block) on `run` and `run_trace`, one on
+/// `on_event`.  Each detector takes the whole block before the next one
+/// starts, and the clock is read once per detector boundary per block
+/// rather than per event.  Detectors are independent, so the outcomes equal
+/// a per-event feed.  [`Engine::on_event_with`], the hook behind online race
+/// printing, reads the clock per detector per event.
 ///
 /// For analyzing *many* trace files at once, see
 /// [`driver::run_shards`](crate::driver::run_shards), which runs one engine
@@ -117,7 +131,27 @@ impl Engine {
     /// Fans one event out to every registered detector, returning how many
     /// races were flagged at this event across all of them.
     pub fn on_event(&mut self, event: &Event) -> usize {
-        self.on_event_with(event, |_, _| {})
+        self.fan_out(std::slice::from_ref(event))
+    }
+
+    /// Feeds `block` through every registered detector in turn, returning
+    /// how many races were flagged across all of them.  The clock is read
+    /// once per detector boundary (each timestamp ends one detector's slice
+    /// and starts the next), so a block costs `detectors + 1` reads however
+    /// long it is.
+    fn fan_out(&mut self, block: &[Event]) -> usize {
+        self.events += block.len();
+        let mut flagged = 0;
+        let mut last = Instant::now();
+        for registered in &mut self.detectors {
+            for event in block {
+                flagged += registered.detector.on_event(event).len();
+            }
+            let now = Instant::now();
+            registered.spent += now.duration_since(last);
+            last = now;
+        }
+        flagged
     }
 
     /// Like [`Engine::on_event`], but hands every race flagged at this event
@@ -151,29 +185,45 @@ impl Engine {
 
     /// Drains an event source (e.g. a
     /// [`StreamReader`](rapid_trace::format::StreamReader)) through the
-    /// engine, stopping at the first source error.
+    /// engine in blocks of up to 4096 events, stopping at the first source
+    /// error.  Returns the number of events fed.
     ///
     /// # Errors
     ///
-    /// Returns the source's error unchanged; events already fed remain
-    /// accounted, so a caller may still [`Engine::finish`] for partial
-    /// results.
+    /// Returns the source's error unchanged, after feeding the events read
+    /// before it; events already fed remain accounted, so a caller may
+    /// still [`Engine::finish`] for partial results.
     pub fn run<E>(
         &mut self,
         events: impl IntoIterator<Item = Result<Event, E>>,
     ) -> Result<usize, E> {
-        let mut count = 0;
-        for event in events {
-            self.on_event(&event?);
-            count += 1;
+        let fed_before = self.events;
+        let mut block = Vec::with_capacity(BLOCK);
+        let mut status = Ok(());
+        for next in events {
+            match next {
+                Ok(event) => block.push(event),
+                Err(error) => {
+                    status = Err(error);
+                    break;
+                }
+            }
+            if block.len() == BLOCK {
+                self.fan_out(&block);
+                block.clear();
+            }
         }
-        Ok(count)
+        // The last, partial block: the source's tail, or the events read
+        // before its error.
+        self.fan_out(&block);
+        status.map(|()| self.events - fed_before)
     }
 
-    /// Feeds a fully materialized trace (the batch path) through the engine.
+    /// Feeds a fully materialized trace (the batch path) through the engine
+    /// in blocks of up to 4096 events.
     pub fn run_trace(&mut self, trace: &Trace) -> usize {
-        for event in trace.events() {
-            self.on_event(event);
+        for block in trace.events().chunks(BLOCK) {
+            self.fan_out(block);
         }
         trace.len()
     }
@@ -354,6 +404,27 @@ mod tests {
         let error: ParseError = engine.run(&mut reader).unwrap_err();
         assert_eq!(error.line, 2);
         assert_eq!(engine.events_seen(), 1, "events before the error were fed");
+
+        // An error past the first full block: the full block and the
+        // partial one before the error are both fed.
+        let mut input = "t1|w(x)|A:1\nt2|r(y)|B:2\n".repeat(2_500);
+        input.push_str("t1|oops|A:3\n");
+        let mut engine = Engine::new();
+        engine.register(Box::new(rapid_wcp::WcpStream::new()));
+        engine.register(Box::new(rapid_hb::HbStream::new()));
+        let mut reader = StreamReader::std(input.as_bytes());
+        let error: ParseError = engine.run(&mut reader).unwrap_err();
+        assert_eq!(error.line, 5_001);
+        assert_eq!(engine.events_seen(), 5_000, "events before the error were fed");
+        let runs = engine.finish(reader.names());
+        assert_eq!(runs.len(), 2);
+        for run in &runs {
+            assert_eq!(
+                run.outcome.events, 5_000,
+                "{} finishes over the fed events",
+                run.outcome.detector
+            );
+        }
     }
 
     #[test]

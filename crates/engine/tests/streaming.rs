@@ -8,7 +8,7 @@
 use std::fs::File;
 use std::io::{BufReader, Write as _};
 
-use rapid_engine::{DetectorRun, Engine};
+use rapid_engine::{DetectorRun, DetectorSpec, Engine, Outcome};
 use rapid_gen::{benchmarks, figures};
 use std::collections::BTreeSet;
 
@@ -130,6 +130,58 @@ fn any_reader_auto_detects_binary_regardless_of_extension() {
     assert_eq!(outcomes[0].2, figure.trace.len());
     // Name-keyed outcomes compare as whole values across ingestion paths.
     assert_eq!(outcomes[0], outcomes[1], "binary and text ingestion agree");
+}
+
+#[test]
+fn block_fan_out_matches_per_event_fan_out_across_block_boundaries() {
+    // Two full 4096-event blocks plus a partial one, through all four
+    // detectors; the MCM window (1000) does not divide the block size, so
+    // windows straddle block boundaries.  moldyn repeats its access sites,
+    // which keeps MCM's candidate set, and so the test, small.
+    let trace = benchmarks::benchmark_scaled("moldyn", 2 * 4096 + 123).expect("moldyn").trace;
+    assert!(trace.len() > 2 * 4096 && !trace.len().is_multiple_of(4096), "{} events", trace.len());
+    let spec = DetectorSpec {
+        detectors: ["wcp", "hb", "fasttrack", "mcm"].map(str::to_owned).to_vec(),
+        window: 1_000,
+        timeout_secs: 1,
+    };
+    let engine = || {
+        let mut engine = Engine::new();
+        for detector in spec.build().expect("known detectors") {
+            engine.register(detector);
+        }
+        engine
+    };
+    let outcomes = |runs: Vec<DetectorRun>| -> Vec<Outcome> {
+        runs.into_iter().map(|run| run.outcome).collect()
+    };
+
+    let mut per_event = engine();
+    for event in trace.events() {
+        per_event.on_event(event);
+    }
+    let per_event_outcomes = outcomes(per_event.finish(&trace));
+
+    let mut batch = engine();
+    assert_eq!(batch.run_trace(&trace), trace.len());
+    let batch_outcomes = outcomes(batch.finish(&trace));
+
+    let text = format::write_std(&trace);
+    let mut streamed = engine();
+    let mut reader = StreamReader::std(text.as_bytes());
+    assert_eq!(streamed.run(&mut reader).expect("round-trips"), trace.len());
+    let streamed_outcomes = outcomes(streamed.finish(reader.names()));
+
+    assert_eq!(per_event.events_seen(), trace.len());
+    assert_eq!(batch.events_seen(), trace.len());
+    assert_eq!(streamed.events_seen(), trace.len());
+    assert_eq!(per_event_outcomes.len(), 4);
+    assert!(
+        per_event_outcomes.iter().all(|outcome| outcome.distinct_pairs() > 0),
+        "every detector reports races on moldyn"
+    );
+    assert_eq!(batch_outcomes, per_event_outcomes, "run_trace ≡ per-event on_event");
+    assert_eq!(streamed_outcomes, per_event_outcomes, "run ≡ per-event on_event");
 }
 
 #[test]
