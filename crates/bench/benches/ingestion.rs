@@ -1,4 +1,4 @@
-//! Ingestion-path throughput: text via `BufRead`, text via mmap, binary.
+//! Ingestion throughput of the two readers: text and binary.
 //!
 //! BENCH_pr2.json showed the PR 2 stream path spending ~2× the batch
 //! wall-clock on moldyn, dominated by per-line parsing and interning rather
@@ -13,7 +13,7 @@ use std::io::BufReader;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rapid_gen::{benchmarks, emit};
-use rapid_trace::format::{BinReader, MmapReader, StreamReader};
+use rapid_trace::format::{BinReader, StreamReader};
 
 const EVENTS: usize = 20_000;
 
@@ -47,14 +47,9 @@ fn ingestion(c: &mut Criterion) {
             assert_eq!(drain(StreamReader::std(BufReader::new(file))), events);
         })
     });
-    group.bench_function("text_mmap", |b| {
-        b.iter(|| {
-            assert_eq!(drain(MmapReader::open_std(&std_path).expect("fixture maps")), events);
-        })
-    });
     group.bench_function("binary", |b| {
         b.iter(|| {
-            assert_eq!(drain(BinReader::open(&rwf_path).expect("fixture maps")), events);
+            assert_eq!(drain(BinReader::open(&rwf_path).expect("fixture opens")), events);
         })
     });
     group.finish();

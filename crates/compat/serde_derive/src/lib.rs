@@ -7,6 +7,8 @@
 //! the workspace exercises it yet.  Swapping in the real `serde` later only
 //! requires changing the path dependencies back to registry versions.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// No-op stand-in for `serde_derive::Serialize`.

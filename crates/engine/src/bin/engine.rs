@@ -3,9 +3,9 @@
 //! in-process or across machines — or convert between the trace encodings.
 //!
 //! ```text
-//! engine stream  <file> [--format std|csv] [--reader mmap|bufread]
-//!                       [--detectors wcp,hb,fasttrack,mcm] [--window N]
-//!                       [--timeout SECS] [--races] [--quiet] [--fail-on-race]
+//! engine stream  <file> [--format std|csv] [--detectors wcp,hb,fasttrack,mcm]
+//!                       [--window N] [--timeout SECS] [--races] [--quiet]
+//!                       [--fail-on-race]
 //! engine batch   <file> [same flags]      # parse fully, then analyze (for comparison)
 //! engine multi   <files-or-dirs...> [--jobs N] [--per-shard] [same flags]
 //!                                         # one engine per shard on a worker pool,
@@ -39,8 +39,10 @@
 //! `multi`, `serve` and `submit` also accept shard *directories*, expanded
 //! to the `.rwf`/`.csv`/`.std` files they contain in sorted name order (and
 //! erroring on a directory with no trace files — no silent empty runs).
-//! Text files are ingested through a memory map by default (`--reader
-//! bufread` restores the copying `BufRead` path).  With `--races`, `stream`
+//! Every file streams through one small buffer, so a trace of any size
+//! needs no more memory than the detectors' state and the name tables.
+//! Pipes work too (`cat t.rwf | engine stream /dev/stdin`); text streams
+//! from them, a `.rwf` is read whole first.  With `--races`, `stream`
 //! prints each race the moment a detector flags it, and every analyzing
 //! mode prints the final merged race pairs; `--quiet` suppresses the online
 //! lines.  With `--fail-on-race` the process exits with code **2** when any
@@ -61,6 +63,10 @@
 //! coordinator/worker protocol and the outcome wire codec in
 //! `docs/PROTOCOL.md`.
 
+// The one `unsafe` block registers the SIGINT hook in `drain_on_sigint`:
+// std has no safe signal API.
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -80,7 +86,6 @@ struct Options {
     /// (submit takes shard files after the address).
     paths: Vec<String>,
     format: Option<String>,
-    use_mmap: bool,
     detectors: Vec<String>,
     window: usize,
     timeout: u64,
@@ -104,7 +109,7 @@ struct Options {
 }
 
 const USAGE: &str = "usage: engine <stream|batch> <file> [--format std|csv] \
-[--reader mmap|bufread] [--detectors wcp,hb,fasttrack,mcm] [--window N] [--timeout SECS] \
+[--detectors wcp,hb,fasttrack,mcm] [--window N] [--timeout SECS] \
 [--races] [--quiet] [--fail-on-race]\n       engine multi <files-or-dirs...> [--jobs N] \
 [--per-shard] [same flags]\n       engine serve [files-or-dirs...] --bind ADDR [--once] \
 [--jobs-hint N] [--lease-timeout SECS] [--speculate-after SECS] [same flags]\n       \
@@ -145,7 +150,6 @@ fn parse_args() -> Result<Options, String> {
         mode,
         paths: Vec::new(),
         format: None,
-        use_mmap: true,
         detectors: vec!["wcp".to_owned(), "hb".to_owned()],
         window: McmConfig::default().window_size,
         timeout: McmConfig::default().solver_timeout_secs,
@@ -175,14 +179,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err(format!("unknown format `{value}`"));
                 }
                 options.format = Some(value);
-            }
-            "--reader" => {
-                let value = args.next().ok_or("--reader requires mmap or bufread")?;
-                match value.as_str() {
-                    "mmap" => options.use_mmap = true,
-                    "bufread" => options.use_mmap = false,
-                    other => return Err(format!("unknown reader `{other}`")),
-                }
             }
             "--detectors" => {
                 let value = args.next().ok_or("--detectors requires a comma-separated list")?;
@@ -347,7 +343,7 @@ fn text_override(options: &Options) -> Option<TextFormat> {
 }
 
 fn open_reader(options: &Options, path: &str) -> Result<AnyReader, String> {
-    AnyReader::open(path, text_format(options, path), options.use_mmap)
+    AnyReader::open(path, text_format(options, path), true)
         .map_err(|error| format!("cannot read {path}: {error}"))
 }
 
@@ -416,7 +412,6 @@ fn run_multi(options: &Options) -> Result<bool, String> {
     let config = DriverConfig {
         jobs: options.jobs.unwrap_or_else(driver::available_jobs),
         text: text_override(options),
-        use_mmap: options.use_mmap,
     };
     let factory = || build_detectors(options, 0).expect("detector list validated above");
     let report = driver::run_shards(&paths, factory, &config)
@@ -458,6 +453,7 @@ fn run_multi(options: &Options) -> Result<bool, String> {
 /// signal-safe flag flip, observed by a watcher thread that calls into the
 /// registry (which a signal handler itself must never do).
 #[cfg(unix)]
+#[allow(unsafe_code)]
 fn drain_on_sigint(control: dist::ServeControl) {
     use std::sync::atomic::{AtomicBool, Ordering};
     static INTERRUPTED: AtomicBool = AtomicBool::new(false);
@@ -468,6 +464,9 @@ fn drain_on_sigint(control: dist::ServeControl) {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
     const SIGINT: i32 = 2;
+    // SAFETY: `signal` is the C library's, declared with its C signature,
+    // and the handler it installs only stores to an atomic, which is
+    // async-signal-safe.
     unsafe {
         signal(SIGINT, on_sigint);
     }

@@ -7,8 +7,8 @@
 //! shards" the unit of work: [`run_shards`] pops shard files off a shared
 //! work queue onto `std::thread` workers, runs one fresh [`Engine`] (with a
 //! fresh detector set) per shard via
-//! [`AnyReader::open`](rapid_trace::format::AnyReader::open) — so text,
-//! mmap and binary `.rwf` shards mix freely in one invocation — and folds
+//! [`AnyReader::open`](rapid_trace::format::AnyReader::open) — so text and
+//! binary `.rwf` shards mix freely in one invocation — and folds
 //! the per-shard [`DetectorRun`]s into one merged report with per-shard and
 //! aggregate wall-clock.
 //!
@@ -71,8 +71,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use memmap2::Mmap;
-use rapid_trace::format::{self, AnyReader, BinReader, MmapReader, TextFormat};
+use rapid_trace::format::{AnyReader, TextFormat};
 
 use crate::detector::{Detector, DetectorSpec};
 use crate::engine::{DetectorRun, Engine};
@@ -88,15 +87,13 @@ pub struct DriverConfig {
     /// (binary `.rwf` shards are always auto-detected by magic bytes,
     /// regardless of this setting).
     pub text: Option<TextFormat>,
-    /// Ingest text shards through a memory map (`false`: buffered reads).
-    pub use_mmap: bool,
 }
 
 impl Default for DriverConfig {
     /// One worker per available hardware thread, per-extension text
-    /// detection, mmap ingestion.
+    /// detection.
     fn default() -> Self {
-        DriverConfig { jobs: available_jobs(), text: None, use_mmap: true }
+        DriverConfig { jobs: available_jobs(), text: None }
     }
 }
 
@@ -110,7 +107,7 @@ pub fn available_jobs() -> usize {
 pub struct ShardRun {
     /// The shard file analyzed.
     pub path: PathBuf,
-    /// Which ingestion path served it (`text/mmap`, `binary/mmap`, …).
+    /// Which encoding it was read as (`text` or `binary`).
     pub source: &'static str,
     /// Events in the shard.
     pub events: usize,
@@ -360,26 +357,17 @@ pub fn analyze_shard_with(
     let mut reader = match input {
         ShardInput::Path(path) => {
             let text = config.text.unwrap_or_else(|| TextFormat::from_path(&path));
-            AnyReader::open(&path, text, config.use_mmap)
-                .map_err(|error| fail(error.to_string()))?
+            AnyReader::open(&path, text, true)
         }
         ShardInput::Bytes { text, bytes } => {
             // A cache-shared buffer is cloned out of its `Arc` only when
             // another holder remains (the cached entry keeps its copy);
             // a uniquely-held buffer moves in without copying.
             let bytes = Arc::try_unwrap(bytes).unwrap_or_else(|shared| (*shared).clone());
-            if format::looks_binary(&bytes) {
-                AnyReader::Binary(
-                    BinReader::from_bytes(bytes).map_err(|error| fail(error.to_string()))?,
-                )
-            } else {
-                AnyReader::Mapped(match text {
-                    TextFormat::Std => MmapReader::std_mmap(Mmap::from_vec(bytes)),
-                    TextFormat::Csv => MmapReader::csv_mmap(Mmap::from_vec(bytes)),
-                })
-            }
+            AnyReader::from_bytes(bytes, text)
         }
-    };
+    }
+    .map_err(|error| fail(error.to_string()))?;
     let source = reader.source();
     let mut engine = Engine::new();
     for detector in detectors {
@@ -616,8 +604,8 @@ mod tests {
         for report in &reports {
             assert_eq!(report.shards.len(), 2);
             assert_eq!(report.shards[0].path, paths[0], "shards stay in input order");
-            assert_eq!(report.shards[0].source, "text/mmap");
-            assert_eq!(report.shards[1].source, "binary/mmap");
+            assert_eq!(report.shards[0].source, "text");
+            assert_eq!(report.shards[1].source, "binary");
             assert_eq!(report.total_events(), first.len() + second.len());
             assert!(report.has_races());
             for run in &report.merged {
@@ -728,8 +716,8 @@ mod tests {
         // the filesystem.  Binary is detected by magic, text by flavour.
         let trace = racy_trace("x", "A:1", "A:2");
         let cases: [(Vec<u8>, &str); 2] = [
-            (format::write_std(&trace).into_bytes(), "text/mmap"),
-            (format::to_rwf_bytes(&trace), "binary/mmap"),
+            (format::write_std(&trace).into_bytes(), "text"),
+            (format::to_rwf_bytes(&trace), "binary"),
         ];
         for (bytes, expected_source) in cases {
             let run = analyze_shard(

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use common::generated_trace;
 use proptest::prelude::*;
 use rapid_hb::{FastTrackStream, HbDetector, HbStream};
-use rapid_trace::format::{self, BinReader, MmapReader, StreamReader};
+use rapid_trace::format::{self, BinReader, StreamReader};
 use rapid_trace::{Event, Race, RaceReport, Trace};
 use rapid_vc::VectorClock;
 use rapid_wcp::{WcpConfig, WcpDetector, WcpStream};
@@ -168,45 +168,41 @@ proptest! {
         );
     }
 
-    /// The zero-copy ingestion paths are detector-equivalent to
-    /// [`StreamReader`]: a memory-mapped text reader and a binary `.rwf`
-    /// reader produce identical WCP/HB race sets *and* per-event timestamps
-    /// on random fork-announced traces.
+    /// The binary ingestion path is detector-equivalent to
+    /// [`StreamReader`]: a binary `.rwf` reader produces identical WCP/HB
+    /// race sets *and* per-event timestamps on random fork-announced traces.
     #[test]
     fn zero_copy_readers_match_stream_reader(trace in generated_trace()) {
         let text = format::write_std(&trace);
 
         let baseline = run_cores(StreamReader::std(text.as_bytes()));
-        let mapped = run_cores(MmapReader::std_bytes(text.clone().into_bytes()));
         let rwf = format::to_rwf_bytes(&format::parse_std(&text).expect("reparses"));
         let binary = run_cores(BinReader::from_bytes(rwf).expect("fresh rwf header is sound"));
 
         let streamed_trace = format::parse_std(&text).expect("reparses");
-        for (path, run) in [("mmap", &mapped), ("binary", &binary)] {
-            let (wcp_report, wcp_times, hb_report, hb_times) = run;
-            prop_assert_eq!(
-                race_set(&baseline.0, &streamed_trace),
-                race_set(wcp_report, &streamed_trace),
-                "{} WCP race set diverged on:\n{}", path, text
+        let (wcp_report, wcp_times, hb_report, hb_times) = &binary;
+        prop_assert_eq!(
+            race_set(&baseline.0, &streamed_trace),
+            race_set(wcp_report, &streamed_trace),
+            "binary WCP race set diverged on:\n{}", text
+        );
+        prop_assert_eq!(
+            race_set(&baseline.2, &streamed_trace),
+            race_set(hb_report, &streamed_trace),
+            "binary HB race set diverged on:\n{}", text
+        );
+        prop_assert_eq!(wcp_times.len(), baseline.1.len());
+        for (index, clock) in wcp_times.iter().enumerate() {
+            prop_assert!(
+                clocks_equal(&baseline.1[index], clock),
+                "binary WCP timestamp of event {} diverged on:\n{}", index, text
             );
-            prop_assert_eq!(
-                race_set(&baseline.2, &streamed_trace),
-                race_set(hb_report, &streamed_trace),
-                "{} HB race set diverged on:\n{}", path, text
+        }
+        for (index, clock) in hb_times.iter().enumerate() {
+            prop_assert!(
+                clocks_equal(&baseline.3[index], clock),
+                "binary HB timestamp of event {} diverged on:\n{}", index, text
             );
-            prop_assert_eq!(wcp_times.len(), baseline.1.len());
-            for (index, clock) in wcp_times.iter().enumerate() {
-                prop_assert!(
-                    clocks_equal(&baseline.1[index], clock),
-                    "{} WCP timestamp of event {} diverged on:\n{}", path, index, text
-                );
-            }
-            for (index, clock) in hb_times.iter().enumerate() {
-                prop_assert!(
-                    clocks_equal(&baseline.3[index], clock),
-                    "{} HB timestamp of event {} diverged on:\n{}", path, index, text
-                );
-            }
         }
     }
 

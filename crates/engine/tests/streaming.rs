@@ -110,7 +110,7 @@ fn any_reader_auto_detects_binary_regardless_of_extension() {
     std::fs::write(&lying_path, format::to_rwf_bytes(&figure.trace)).expect("rwf writes");
 
     let mut outcomes = Vec::new();
-    for (path, expected_source) in [(&text_path, "text/mmap"), (&lying_path, "binary/mmap")] {
+    for (path, expected_source) in [(&text_path, "text"), (&lying_path, "binary")] {
         let mut reader = format::AnyReader::open(path, format::TextFormat::Std, true)
             .expect("auto-detection opens both encodings");
         assert_eq!(reader.source(), expected_source);

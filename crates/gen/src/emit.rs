@@ -2,7 +2,7 @@
 //!
 //! The generators in this crate produce in-memory [`Trace`]s; benchmarks and
 //! fixtures need them on disk — std text for human-auditable cases, the
-//! binary wire format (`.rwf`, see `docs/FORMAT.md`) for the zero-copy
+//! binary wire format (`.rwf`, see `docs/FORMAT.md`) for the string-free
 //! ingestion path.  These helpers are the one place that decision is made,
 //! so harnesses (`table1 --bench-smoke`, the ingestion bench, CI smoke
 //! steps) emit every encoding the same way.

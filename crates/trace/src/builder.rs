@@ -59,7 +59,7 @@ impl Interner {
         id
     }
 
-    /// Interns a name given as raw bytes (the zero-copy readers' entry
+    /// Interns a name given as raw bytes (the byte-level text parser's entry
     /// point).  Valid UTF-8 interns without copying first; invalid bytes are
     /// replaced (U+FFFD) rather than rejected, so a stray byte in one name
     /// cannot abort ingestion of a multi-gigabyte trace.

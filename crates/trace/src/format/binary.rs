@@ -44,11 +44,11 @@
 //! assert_eq!(format::write_std(&roundtrip), text);
 //! ```
 
+use std::fmt;
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use memmap2::Mmap;
 use rapid_vc::ThreadId;
 
 use crate::builder::Interner;
@@ -100,7 +100,8 @@ const TABLE_LOCATIONS: usize = 3;
 
 /// Events buffered before [`RwfStreamWriter`] flushes a block (about 53 KiB
 /// of frames — small enough to bound producer memory, large enough that the
-/// per-block tag overhead vanishes).
+/// per-block tag overhead vanishes).  [`BinReader`] re-reads frames in runs
+/// of the same size, which bounds the reader's memory the same way.
 const DEFAULT_BLOCK_EVENTS: usize = 4096;
 
 /// Returns true when `bytes` starts with the `.rwf` magic — the sniff the
@@ -536,10 +537,104 @@ pub fn to_rwf_stream_bytes(trace: &Trace, block_events: usize) -> Vec<u8> {
     writer.finish().expect(VEC)
 }
 
-/// Maps the shared cursor's only error into this codec's typed form:
-/// [`ParseErrorKind::Truncated`] at header position 0.
-fn truncated(_: wire::Truncated) -> ParseError {
-    ParseError { line: 0, kind: ParseErrorKind::Truncated }
+/// A container error at header position 0.
+fn container_error(kind: ParseErrorKind) -> ParseError {
+    ParseError { line: 0, kind }
+}
+
+/// Maps a failed read to its typed error at `line`: running out of input —
+/// a file that shrank after its length was measured — is
+/// [`ParseErrorKind::Truncated`], anything else [`ParseErrorKind::Io`].
+fn read_error(error: io::Error, line: usize) -> ParseError {
+    let kind = match error.kind() {
+        io::ErrorKind::UnexpectedEof => ParseErrorKind::Truncated,
+        _ => ParseErrorKind::Io(error.to_string()),
+    };
+    ParseError { line, kind }
+}
+
+/// What [`BinReader`] reads from: a regular file, or bytes in memory behind
+/// an [`io::Cursor`].
+trait Source: Read + Seek + Send {}
+
+impl<T: Read + Seek + Send> Source for T {}
+
+/// The container scan's bounds-checked little-endian reader: the checks of
+/// [`wire::Cursor`], repeated over a seekable stream.  Every read is bounded
+/// by the input length measured before the scan, so a hostile count fails
+/// as `Truncated` before anything is allocated for it.
+struct Scan<'a> {
+    input: BufReader<&'a mut dyn Source>,
+    pos: u64,
+    len: u64,
+}
+
+impl Scan<'_> {
+    fn remaining(&self) -> u64 {
+        self.len - self.pos
+    }
+
+    /// Claims the next `len` bytes of the input.
+    fn claim(&mut self, len: u64) -> Result<(), ParseError> {
+        if len > self.remaining() {
+            return Err(container_error(ParseErrorKind::Truncated));
+        }
+        self.pos += len;
+        Ok(())
+    }
+
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], ParseError> {
+        self.claim(N as u64)?;
+        let mut bytes = [0; N];
+        self.input.read_exact(&mut bytes).map_err(|error| read_error(error, 0))?;
+        Ok(bytes)
+    }
+
+    fn u8(&mut self) -> Result<u8, ParseError> {
+        Ok(self.bytes::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, ParseError> {
+        Ok(u16::from_le_bytes(self.bytes()?))
+    }
+
+    fn u32(&mut self) -> Result<u32, ParseError> {
+        Ok(u32::from_le_bytes(self.bytes()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, ParseError> {
+        Ok(u64::from_le_bytes(self.bytes()?))
+    }
+
+    /// A `u32`-length-prefixed name, invalid UTF-8 replaced (§1.4).
+    fn str(&mut self) -> Result<String, ParseError> {
+        let len = self.u32()?;
+        self.claim(len as u64)?;
+        let mut bytes = vec![0; len as usize];
+        self.input.read_exact(&mut bytes).map_err(|error| read_error(error, 0))?;
+        Ok(String::from_utf8_lossy(&bytes).into_owned())
+    }
+
+    /// A `u32` count, then that many names appended to `table`.  Each name
+    /// needs at least its 4-byte length prefix, which bounds the count by
+    /// the remaining input.
+    fn names(&mut self, table: &mut Vec<String>) -> Result<(), ParseError> {
+        let count = self.u32()?;
+        if count as u64 * 4 > self.remaining() {
+            return Err(container_error(ParseErrorKind::Truncated));
+        }
+        table.reserve(count as usize);
+        for _ in 0..count {
+            table.push(self.str()?);
+        }
+        Ok(())
+    }
+
+    /// Steps over `len` bytes (a frame section) without reading them.
+    fn skip(&mut self, len: u64) -> Result<(), ParseError> {
+        self.claim(len)?;
+        self.input.seek_relative(len as i64).map_err(|error| read_error(error, 0))
+    }
 }
 
 /// One run of contiguous frames, with the name-table lengths its frames may
@@ -548,7 +643,7 @@ fn truncated(_: wire::Truncated) -> ParseError {
 #[derive(Debug, Clone, Copy)]
 struct EventBlock {
     /// Byte offset of the block's first frame.
-    offset: usize,
+    offset: u64,
     frames: u32,
     /// Per-table name counts visible to this block, in §3.2 table order.
     lens: [u32; 4],
@@ -558,58 +653,79 @@ struct EventBlock {
 /// tables (§3.2 order), and the event blocks in file order.
 type ScannedBody = (u32, [Vec<String>; 4], Vec<EventBlock>);
 
-/// A zero-copy reader of wire-format traces, yielding [`Event`]s straight
-/// from the mapped frame bytes — no string handling after the container
-/// scan.  Accepts both the batch (v1) and streamed (v2) containers.
+fn table_lens(tables: &[Vec<String>; 4]) -> [u32; 4] {
+    tables.each_ref().map(|table| table.len() as u32)
+}
+
+/// A streaming reader of wire-format traces: no string handling after the
+/// container scan, and memory bounded by the name tables plus one reused
+/// buffer of at most 4096 frames — the input is never held whole.  Accepts
+/// both the batch (v1) and streamed (v2) containers.
 ///
 /// Constructors validate the container eagerly (magic, version, table
-/// layout, block structure, exact frame-section lengths, v2 END count), so
-/// iteration can only fail on out-of-range ids or op codes; the error's
-/// `line` field carries the 1-based *frame* number (0 for container
-/// errors).
-#[derive(Debug)]
+/// layout, block structure, exact frame-section lengths, v2 END count),
+/// reading the tables and seeking over the frame sections; iteration then
+/// re-reads the frames in runs.  So iteration can only fail on out-of-range
+/// ids or op codes — or with `Truncated` if the file shrinks after the scan;
+/// the error's `line` field carries the 1-based *frame* number (0 for
+/// container errors).
 pub struct BinReader {
-    data: Mmap,
-    /// Byte offset of the next frame.
-    pos: usize,
+    source: Box<dyn Source>,
     frames: u32,
     read: u32,
     names: StreamNames,
     failed: bool,
     blocks: Vec<EventBlock>,
     next_block: usize,
-    /// Frames left in the current block.
+    /// Frames of the current block not yet read into `chunk`.
     block_left: u32,
+    /// Byte offset of the current block's next unread frame.
+    offset: u64,
     /// Id bounds for the current block's frames.
     lens: [u32; 4],
+    /// The current run of frames; one buffer, reused by every refill.
+    chunk: Vec<u8>,
+    /// Byte offset of the next frame in `chunk`.
+    at: usize,
+}
+
+impl fmt::Debug for BinReader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BinReader")
+            .field("frames", &self.frames)
+            .field("read", &self.read)
+            .field("failed", &self.failed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BinReader {
-    /// Wraps mapped bytes, validating the container (either version).
+    /// Scans the container from the start of `source` (either version).
     ///
     /// # Errors
     ///
     /// [`ParseErrorKind::BadMagic`], [`ParseErrorKind::BadVersion`],
     /// [`ParseErrorKind::Truncated`], [`ParseErrorKind::TrailingBytes`] or
     /// [`ParseErrorKind::BadBlockTag`] (v2 only) when the container
-    /// structure is unsound.
-    pub fn from_mmap(data: Mmap) -> Result<Self, ParseError> {
-        let mut cursor = wire::Cursor::new(&data);
-        if cursor.take(MAGIC.len()).map_err(truncated)? != MAGIC {
-            return Err(ParseError { line: 0, kind: ParseErrorKind::BadMagic });
+    /// structure is unsound; [`ParseErrorKind::Io`] when reading fails.
+    fn new(mut source: Box<dyn Source>) -> Result<Self, ParseError> {
+        let len = source.seek(SeekFrom::End(0)).map_err(|error| read_error(error, 0))?;
+        source.seek(SeekFrom::Start(0)).map_err(|error| read_error(error, 0))?;
+        let mut scan = Scan { input: BufReader::new(&mut *source), pos: 0, len };
+        if scan.bytes()? != MAGIC {
+            return Err(container_error(ParseErrorKind::BadMagic));
         }
-        let version = cursor.u16().map_err(truncated)?;
-        cursor.u16().map_err(truncated)?; // reserved
-        let declared = cursor.u32().map_err(truncated)?;
+        let version = scan.u16()?;
+        scan.u16()?; // reserved
+        let declared = scan.u32()?;
         let (frames, tables, blocks) = match version {
-            VERSION => Self::scan_v1(&mut cursor, declared)?,
-            VERSION_STREAM => Self::scan_v2(&mut cursor)?,
-            other => return Err(ParseError { line: 0, kind: ParseErrorKind::BadVersion(other) }),
+            VERSION => Self::scan_v1(&mut scan, declared)?,
+            VERSION_STREAM => Self::scan_v2(&mut scan)?,
+            other => return Err(container_error(ParseErrorKind::BadVersion(other))),
         };
         let [threads, locks, variables, locations] = tables;
         Ok(BinReader {
-            data,
-            pos: 0,
+            source,
             frames,
             read: 0,
             names: StreamNames::from_tables(threads, locks, variables, locations),
@@ -617,39 +733,29 @@ impl BinReader {
             blocks,
             next_block: 0,
             block_left: 0,
+            offset: 0,
             lens: [0; 4],
+            chunk: Vec::new(),
+            at: 0,
         })
     }
 
     /// Validates a v1 body — four complete tables, then exactly `declared`
     /// frames — as one block over the full tables.
-    fn scan_v1(cursor: &mut wire::Cursor<'_>, declared: u32) -> Result<ScannedBody, ParseError> {
+    fn scan_v1(scan: &mut Scan<'_>, declared: u32) -> Result<ScannedBody, ParseError> {
         let mut tables: [Vec<String>; 4] = Default::default();
         for table in &mut tables {
-            let count = cursor.u32().map_err(truncated)?;
-            // Each entry needs at least its 4-byte length prefix, bounding
-            // `count` by the remaining input (guards hostile headers).
-            cursor.check_count(count, 4).map_err(truncated)?;
-            table.reserve(count as usize);
-            for _ in 0..count {
-                table.push(cursor.str().map_err(truncated)?);
-            }
+            scan.names(table)?;
         }
-        let body = declared as usize * FRAME_LEN;
-        match cursor.remaining().cmp(&body) {
-            std::cmp::Ordering::Less => return Err(truncated(wire::Truncated)),
+        let body = declared as u64 * FRAME_LEN as u64;
+        match scan.remaining().cmp(&body) {
+            std::cmp::Ordering::Less => return Err(container_error(ParseErrorKind::Truncated)),
             std::cmp::Ordering::Greater => {
-                return Err(ParseError { line: 0, kind: ParseErrorKind::TrailingBytes })
+                return Err(container_error(ParseErrorKind::TrailingBytes))
             }
             std::cmp::Ordering::Equal => {}
         }
-        let lens = [
-            tables[0].len() as u32,
-            tables[1].len() as u32,
-            tables[2].len() as u32,
-            tables[3].len() as u32,
-        ];
-        let block = EventBlock { offset: cursor.pos(), frames: declared, lens };
+        let block = EventBlock { offset: scan.pos, frames: declared, lens: table_lens(&tables) };
         Ok((declared, tables, vec![block]))
     }
 
@@ -657,87 +763,74 @@ impl BinReader {
     /// blocks are recorded with the table lengths *visible at that point*
     /// (so frames cannot reference later deltas), and END must carry the
     /// exact event total with nothing after it.
-    fn scan_v2(cursor: &mut wire::Cursor<'_>) -> Result<ScannedBody, ParseError> {
+    fn scan_v2(scan: &mut Scan<'_>) -> Result<ScannedBody, ParseError> {
         let mut tables: [Vec<String>; 4] = Default::default();
         let mut blocks = Vec::new();
         let mut total: u64 = 0;
         loop {
-            match cursor.u8().map_err(truncated)? {
+            match scan.u8()? {
                 BLOCK_NAMES => {
-                    let index = cursor.u8().map_err(truncated)?;
+                    let index = scan.u8()?;
                     let Some(table) = tables.get_mut(index as usize) else {
-                        return Err(ParseError {
-                            line: 0,
-                            kind: ParseErrorKind::BadBlockTag(index),
-                        });
+                        return Err(container_error(ParseErrorKind::BadBlockTag(index)));
                     };
-                    let count = cursor.u32().map_err(truncated)?;
-                    cursor.check_count(count, 4).map_err(truncated)?;
-                    table.reserve(count as usize);
-                    for _ in 0..count {
-                        table.push(cursor.str().map_err(truncated)?);
-                    }
+                    scan.names(table)?;
                 }
                 BLOCK_EVENTS => {
-                    let count = cursor.u32().map_err(truncated)?;
-                    let offset = cursor.pos();
-                    cursor.take(count as usize * FRAME_LEN).map_err(truncated)?;
-                    let lens = [
-                        tables[0].len() as u32,
-                        tables[1].len() as u32,
-                        tables[2].len() as u32,
-                        tables[3].len() as u32,
-                    ];
-                    blocks.push(EventBlock { offset, frames: count, lens });
+                    let count = scan.u32()?;
+                    let offset = scan.pos;
+                    scan.skip(count as u64 * FRAME_LEN as u64)?;
+                    blocks.push(EventBlock { offset, frames: count, lens: table_lens(&tables) });
                     total += count as u64;
                 }
                 BLOCK_END => {
-                    let declared = cursor.u64().map_err(truncated)?;
+                    let declared = scan.u64()?;
                     if declared != total || total > u32::MAX as u64 {
-                        return Err(truncated(wire::Truncated));
+                        return Err(container_error(ParseErrorKind::Truncated));
                     }
-                    if !cursor.at_end() {
-                        return Err(ParseError { line: 0, kind: ParseErrorKind::TrailingBytes });
+                    if scan.remaining() != 0 {
+                        return Err(container_error(ParseErrorKind::TrailingBytes));
                     }
                     return Ok((total as u32, tables, blocks));
                 }
-                other => {
-                    return Err(ParseError { line: 0, kind: ParseErrorKind::BadBlockTag(other) })
-                }
+                other => return Err(container_error(ParseErrorKind::BadBlockTag(other))),
             }
         }
     }
 
-    /// Wraps an in-memory buffer, validating the header.
+    /// Wraps an in-memory buffer, validating the container.
     ///
     /// # Errors
     ///
-    /// Same as [`BinReader::from_mmap`].
+    /// [`ParseErrorKind::BadMagic`], [`ParseErrorKind::BadVersion`],
+    /// [`ParseErrorKind::Truncated`], [`ParseErrorKind::TrailingBytes`] or
+    /// [`ParseErrorKind::BadBlockTag`] (v2 only) when the container
+    /// structure is unsound.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ParseError> {
-        BinReader::from_mmap(Mmap::from_vec(bytes))
+        BinReader::new(Box::new(io::Cursor::new(bytes)))
     }
 
-    /// Memory-maps an open `.rwf` file and validates its header.
+    /// Reads an open `.rwf` file.  A regular file streams from disk;
+    /// anything else (a pipe, a fifo) cannot seek, so it is read whole into
+    /// memory after `consumed`, the bytes the caller already took from it.
+    pub(super) fn from_file(mut file: File, mut consumed: Vec<u8>) -> Result<Self, ParseError> {
+        if file.metadata().is_ok_and(|metadata| metadata.is_file()) {
+            return BinReader::new(Box::new(file));
+        }
+        file.read_to_end(&mut consumed).map_err(|error| read_error(error, 0))?;
+        BinReader::from_bytes(consumed)
+    }
+
+    /// Opens a `.rwf` file by path and validates its container.
     ///
     /// # Errors
     ///
-    /// I/O failures surface as [`ParseErrorKind::Io`]; header failures as in
-    /// [`BinReader::from_mmap`].
-    pub fn map(file: &File) -> Result<Self, ParseError> {
-        let data = Mmap::map(file)
-            .map_err(|error| ParseError { line: 0, kind: ParseErrorKind::Io(error.to_string()) })?;
-        BinReader::from_mmap(data)
-    }
-
-    /// Opens and memory-maps a `.rwf` file by path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BinReader::map`].
+    /// I/O failures surface as [`ParseErrorKind::Io`]; container failures
+    /// as in [`BinReader::from_bytes`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ParseError> {
         let file = File::open(path)
-            .map_err(|error| ParseError { line: 0, kind: ParseErrorKind::Io(error.to_string()) })?;
-        BinReader::map(&file)
+            .map_err(|error| container_error(ParseErrorKind::Io(error.to_string())))?;
+        BinReader::from_file(file, Vec::new())
     }
 
     /// The header's name tables (complete before the first event, unlike the
@@ -761,18 +854,37 @@ impl BinReader {
         self.frames as usize
     }
 
-    fn decode_frame(&mut self) -> Result<Event, ParseError> {
+    /// Re-reads the next run of at most [`DEFAULT_BLOCK_EVENTS`] frames into
+    /// the reused chunk buffer.  A run never crosses a block boundary, so
+    /// all its frames share the block's id bounds.
+    fn refill(&mut self, line: usize) -> Result<(), ParseError> {
         // Skip to the next non-empty block (total frame count guarantees one
         // exists whenever the iterator lets us in here).
         while self.block_left == 0 {
             let block = self.blocks[self.next_block];
             self.next_block += 1;
-            self.pos = block.offset;
+            self.offset = block.offset;
             self.block_left = block.frames;
             self.lens = block.lens;
         }
-        let frame = &self.data[self.pos..self.pos + FRAME_LEN];
+        let frames = self.block_left.min(DEFAULT_BLOCK_EVENTS as u32);
+        self.chunk.resize(frames as usize * FRAME_LEN, 0);
+        self.source
+            .seek(SeekFrom::Start(self.offset))
+            .and_then(|_| self.source.read_exact(&mut self.chunk))
+            .map_err(|error| read_error(error, line))?;
+        self.offset += self.chunk.len() as u64;
+        self.block_left -= frames;
+        self.at = 0;
+        Ok(())
+    }
+
+    fn decode_frame(&mut self) -> Result<Event, ParseError> {
         let line = self.read as usize + 1;
+        if self.at == self.chunk.len() {
+            self.refill(line)?;
+        }
+        let frame = &self.chunk[self.at..self.at + FRAME_LEN];
         let thread = u32::from_le_bytes(frame[0..4].try_into().expect("13-byte frame"));
         let op = frame[4];
         let target = u32::from_le_bytes(frame[5..9].try_into().expect("13-byte frame"));
@@ -822,9 +934,8 @@ impl BinReader {
             Location::new(check("locations", loc, lens[3])?)
         };
         let event = Event::new(EventId::new(self.read), thread, kind, location);
-        self.pos += FRAME_LEN;
+        self.at += FRAME_LEN;
         self.read += 1;
-        self.block_left -= 1;
         Ok(event)
     }
 }

@@ -1,26 +1,15 @@
-//! Zero-copy ingestion of the text formats: byte-slice line parsing and the
-//! memory-mapped [`MmapReader`].
+//! The byte-level parsing core of the text formats.
 //!
-//! [`StreamReader`](super::StreamReader) pays one `read_line` per event: a
-//! copy into a `String` buffer plus UTF-8 validation of the whole line.
-//! This module removes both costs.  [`parse_std_bytes`] parses a single line
-//! directly from `&[u8]` — only the three *name* fields are ever inspected
-//! as text (and interned, so after first sight a name costs one hash
-//! lookup).  [`MmapReader`] memory-maps a whole trace file (via the
-//! `memmap2` shim, falling back to one read into an owned buffer where
-//! `mmap(2)` is unavailable) and walks it line by line with no per-line
-//! allocation at all.
-//!
-//! Both the `&str` and the `&[u8]` entry points run the *same* parsing core
-//! (the string version delegates here), so the grammar of `docs/FORMAT.md`
-//! (at the repository root) has exactly one implementation and the two
-//! readers cannot drift.
+//! [`parse_std_bytes`] parses a single line directly from `&[u8]`: no
+//! per-line `String` and no UTF-8 validation of the whole line — only the
+//! three *name* fields are ever inspected as text (and interned, so after
+//! first sight a name costs one hash lookup).
+//! [`StreamReader`](super::StreamReader) reads each line into one reused
+//! byte buffer and hands it to the same core, as do the string entry points
+//! ([`parse_std`](super::parse_std), [`parse_csv`](super::parse_csv)), so
+//! the grammar of `docs/FORMAT.md` (at the repository root) has exactly one
+//! implementation.
 
-use std::fs::File;
-use std::io;
-use std::path::Path;
-
-use memmap2::Mmap;
 use rapid_vc::ThreadId;
 
 use crate::event::{Event, EventId, EventKind};
@@ -48,8 +37,8 @@ fn lossy(bytes: &[u8]) -> String {
 }
 
 /// The one definition of the lines every text reader ignores: blank and
-/// `#`-comment (FORMAT.md §1.1).  Shared by [`StreamReader`], [`MmapReader`]
-/// and the parsing core so the rule cannot drift between readers.
+/// `#`-comment (FORMAT.md §1.1).  Shared by [`StreamReader`] and the
+/// parsing core so the rule cannot drift.
 ///
 /// [`StreamReader`]: super::StreamReader
 pub(super) fn is_ignored_line(line: &[u8]) -> bool {
@@ -168,182 +157,9 @@ pub fn parse_std_bytes(
     parse_content_line_bytes(line, line_number, b'|', false, names, next_event)
 }
 
-/// A zero-copy reader over a memory-mapped text trace file: the file's bytes
-/// are paged in lazily by the OS and every line is parsed in place — no
-/// per-line `String`, no whole-line UTF-8 validation, no `BufRead` copies.
-///
-/// Yields exactly the same events, names and errors as
-/// [`StreamReader`](super::StreamReader) over the same input (both drive
-/// [`parse_std_bytes`]'s core); the differential suite in
-/// `crates/engine/tests/differential.rs` pins that equivalence down to
-/// per-event detector timestamps.
-///
-/// # Examples
-///
-/// ```
-/// use rapid_trace::format::MmapReader;
-///
-/// let mut reader = MmapReader::std_bytes(b"t1|w(x)|A.java:1\nt2|r(x)|B.java:2\n".to_vec());
-/// let events: Vec<_> = reader.by_ref().collect::<Result<_, _>>().unwrap();
-/// assert_eq!(events.len(), 2);
-/// assert_eq!(reader.names().num_variables(), 1);
-/// ```
-#[derive(Debug)]
-pub struct MmapReader {
-    data: Mmap,
-    pos: usize,
-    separator: u8,
-    /// 1-based number of the line most recently read.
-    line: usize,
-    /// Whether a content line has been consumed already — the CSV header is
-    /// only recognized as the first one.
-    seen_content: bool,
-    names: StreamNames,
-    next_event: u32,
-    failed: bool,
-}
-
-impl MmapReader {
-    fn new(data: Mmap, separator: u8) -> Self {
-        MmapReader {
-            data,
-            pos: 0,
-            separator,
-            line: 0,
-            seen_content: false,
-            names: StreamNames::default(),
-            next_event: 0,
-            failed: false,
-        }
-    }
-
-    /// Memory-maps an open file of the std (pipe-separated) format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file can be neither mapped nor read.
-    pub fn map_std(file: &File) -> io::Result<Self> {
-        Ok(MmapReader::new(Mmap::map(file)?, b'|'))
-    }
-
-    /// Memory-maps an open file of the CSV format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file can be neither mapped nor read.
-    pub fn map_csv(file: &File) -> io::Result<Self> {
-        Ok(MmapReader::new(Mmap::map(file)?, b','))
-    }
-
-    /// Opens and memory-maps a std-format file by path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be opened or read.
-    pub fn open_std(path: impl AsRef<Path>) -> io::Result<Self> {
-        MmapReader::map_std(&File::open(path)?)
-    }
-
-    /// Opens and memory-maps a CSV-format file by path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be opened or read.
-    pub fn open_csv(path: impl AsRef<Path>) -> io::Result<Self> {
-        MmapReader::map_csv(&File::open(path)?)
-    }
-
-    /// Wraps an in-memory std-format buffer (tests, pre-read inputs).
-    pub fn std_bytes(bytes: Vec<u8>) -> Self {
-        MmapReader::new(Mmap::from_vec(bytes), b'|')
-    }
-
-    /// Wraps an in-memory CSV buffer.
-    pub fn csv_bytes(bytes: Vec<u8>) -> Self {
-        MmapReader::new(Mmap::from_vec(bytes), b',')
-    }
-
-    /// Wraps an existing map as std-format text (used by
-    /// [`AnyReader`](super::AnyReader), which maps before sniffing).
-    pub fn std_mmap(data: Mmap) -> Self {
-        MmapReader::new(data, b'|')
-    }
-
-    /// Wraps an existing map as CSV text.
-    pub fn csv_mmap(data: Mmap) -> Self {
-        MmapReader::new(data, b',')
-    }
-
-    /// The name tables interned so far (grow as events are read).
-    pub fn names(&self) -> &StreamNames {
-        &self.names
-    }
-
-    /// Consumes the reader, returning the final name tables.
-    pub fn into_names(self) -> StreamNames {
-        self.names
-    }
-
-    /// Number of events produced so far.
-    pub fn events_read(&self) -> usize {
-        self.next_event as usize
-    }
-
-    /// 1-based number of the last line read (0 before the first line).
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// Whether the bytes come from a real `mmap(2)` (false: owned fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
-    }
-}
-
-impl Iterator for MmapReader {
-    type Item = Result<Event, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        let data: &[u8] = &self.data;
-        while self.pos < data.len() {
-            let rest = &data[self.pos..];
-            let (line, advance) = match rest.iter().position(|&byte| byte == b'\n') {
-                Some(newline) => (&rest[..newline], newline + 1),
-                None => (rest, rest.len()),
-            };
-            self.pos += advance;
-            self.line += 1;
-            if is_ignored_line(line) {
-                continue;
-            }
-            let is_first_content = !self.seen_content;
-            self.seen_content = true;
-            match parse_content_line_bytes(
-                line,
-                self.line,
-                self.separator,
-                is_first_content,
-                &mut self.names,
-                &mut self.next_event,
-            ) {
-                Ok(Some(event)) => return Some(Ok(event)),
-                Ok(None) => continue, // skipped CSV header
-                Err(error) => {
-                    self.failed = true;
-                    return Some(Err(error));
-                }
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::StreamReader;
+    use super::super::{AnyReader, StreamReader, TextFormat};
     use super::*;
 
     const SAMPLE: &str = "\
@@ -357,43 +173,54 @@ t2|r(x)|B.java:8
 t2|rel(l)|B.java:9
 main|fork(t1)|Main.java:1";
 
+    /// Drives [`parse_std_bytes`] over `input` line by line, as a reader does.
+    fn parse_lines(input: &str) -> (Result<Vec<Event>, ParseError>, StreamNames) {
+        let mut names = StreamNames::default();
+        let mut next_event = 0;
+        let events = input
+            .lines()
+            .enumerate()
+            .filter_map(|(index, line)| {
+                parse_std_bytes(line.as_bytes(), index + 1, &mut names, &mut next_event).transpose()
+            })
+            .collect();
+        (events, names)
+    }
+
     #[test]
     fn byte_parser_matches_stream_reader_exactly() {
         let streamed: Vec<Event> =
             StreamReader::std(SAMPLE.as_bytes()).collect::<Result<_, _>>().unwrap();
-        let mut reader = MmapReader::std_bytes(SAMPLE.as_bytes().to_vec());
-        let mapped: Vec<Event> = reader.by_ref().collect::<Result<_, _>>().unwrap();
-        assert_eq!(streamed, mapped);
-        assert_eq!(reader.events_read(), 7);
-        assert_eq!(reader.names().num_threads(), 3);
-        assert_eq!(reader.names().thread_name(ThreadId::new(0)), Some("t1"));
+        let (parsed, names) = parse_lines(SAMPLE);
+        assert_eq!(streamed, parsed.unwrap());
+        assert_eq!(streamed.len(), 7);
+        assert_eq!(names.num_threads(), 3);
+        assert_eq!(names.thread_name(ThreadId::new(0)), Some("t1"));
     }
 
     #[test]
     fn final_line_without_newline_parses() {
-        let mut reader = MmapReader::std_bytes(b"t1|w(x)|A:1\nt2|r(x)|B:2".to_vec());
+        let mut reader = StreamReader::std(&b"t1|w(x)|A:1\nt2|r(x)|B:2"[..]);
         assert_eq!(reader.by_ref().count(), 2);
         assert_eq!(reader.events_read(), 2);
     }
 
     #[test]
     fn csv_header_skipped_after_comments() {
-        let csv = b"# logged\n\nthread,op,location\nt1,acq(l),A:1\nt1,rel(l),A:2\n".to_vec();
+        let csv = b"# logged\n\nthread,op,location\nt1,acq(l),A:1\nt1,rel(l),A:2\n";
         let events: Vec<Event> =
-            MmapReader::csv_bytes(csv).collect::<Result<_, _>>().expect("parses");
+            StreamReader::csv(&csv[..]).collect::<Result<_, _>>().expect("parses");
         assert_eq!(events.len(), 2);
     }
 
     #[test]
     fn errors_carry_the_same_line_numbers_as_stream_reader() {
         let input = "t1|w(x)|A:1\n\n# pad\nt1|nope(x)|A:2\n";
-        let stream_err = StreamReader::std(input.as_bytes())
-            .collect::<Result<Vec<_>, _>>()
-            .expect_err("unknown op");
-        let mut reader = MmapReader::std_bytes(input.as_bytes().to_vec());
-        let mmap_err = reader.by_ref().collect::<Result<Vec<_>, _>>().expect_err("unknown op");
-        assert_eq!(stream_err, mmap_err);
-        assert_eq!(mmap_err.line, 4);
+        let mut reader = StreamReader::std(input.as_bytes());
+        let stream_err = reader.by_ref().collect::<Result<Vec<_>, _>>().expect_err("unknown op");
+        let byte_err = parse_lines(input).0.expect_err("unknown op");
+        assert_eq!(stream_err, byte_err);
+        assert_eq!(byte_err.line, 4);
         assert!(reader.next().is_none(), "the reader fuses after an error");
     }
 
@@ -404,20 +231,23 @@ main|fork(t1)|Main.java:1";
         let mut input = b"t1|w(x".to_vec();
         input.push(0xFF);
         input.extend_from_slice(b")|A:1\n");
-        let mut reader = MmapReader::std_bytes(input);
-        let event = reader.next().unwrap().expect("parses");
+        let mut names = StreamNames::default();
+        let mut next_event = 0;
+        let event = parse_std_bytes(&input, 1, &mut names, &mut next_event)
+            .expect("parses")
+            .expect("a content line");
         assert!(event.kind().is_write());
-        let name = reader.names().variable_name(VarId::new(0)).unwrap().to_owned();
+        let name = names.variable_name(VarId::new(0)).unwrap().to_owned();
         assert!(name.starts_with('x') && name.contains('\u{FFFD}'));
     }
 
     #[test]
-    fn maps_a_real_file() {
+    fn streams_a_real_file() {
         let path =
-            std::env::temp_dir().join(format!("rapid-mmap-reader-{}.std", std::process::id()));
+            std::env::temp_dir().join(format!("rapid-text-reader-{}.std", std::process::id()));
         std::fs::write(&path, SAMPLE).unwrap();
-        let mut reader = MmapReader::open_std(&path).unwrap();
-        assert!(reader.is_mapped());
+        let mut reader = AnyReader::open(&path, TextFormat::Std, true).unwrap();
+        assert_eq!(reader.source(), "text");
         assert_eq!(reader.by_ref().count(), 7);
         std::fs::remove_file(&path).ok();
     }

@@ -22,31 +22,29 @@
 //! as the first content line (comments and blank lines are ignored before
 //! it, like everywhere else).
 //!
-//! # Streaming
+//! # Streaming: one reader per encoding
 //!
-//! [`StreamReader`] is the classic implementation: an iterator of
-//! [`Result<Event, ParseError>`] over any [`BufRead`] that interns names on
-//! the fly and never materializes a [`Trace`].  The batch entry points
-//! ([`parse_std`], [`parse_csv`]) are thin wrappers that drain a reader and
-//! collect the events into a [`Trace`], so the two paths cannot diverge.
+//! Each encoding has exactly one reader, and each reads a file through one
+//! small reused buffer, so memory grows with the name tables, never with
+//! the file:
 //!
-//! # Zero-copy ingestion and the binary wire format
+//! * **Text** — [`StreamReader`], an iterator of
+//!   [`Result<Event, ParseError>`] over any [`BufRead`] that interns names
+//!   on the fly and never materializes a [`Trace`].  Each line goes through
+//!   the byte-level core in [`bytes`] ([`parse_std_bytes`]: no per-line
+//!   `String`, no whole-line UTF-8 validation).  The batch entry points
+//!   ([`parse_std`], [`parse_csv`]) drain a reader and collect the events
+//!   into a [`Trace`], so the two paths cannot diverge.
+//! * **Binary** — [`BinReader`] over the fixed-width *rapid wire format*
+//!   (`.rwf`, see [`binary`]), which removes string handling from the hot
+//!   path entirely: names live once in the string tables, and each event
+//!   is a 13-byte frame, re-read from the file in runs of at most 4096.
 //!
-//! Two faster ingestion paths live in the submodules and are re-exported
-//! here:
-//!
-//! * [`bytes`]: [`parse_std_bytes`] parses lines straight from `&[u8]`
-//!   (no per-line `String`, no whole-line UTF-8 validation) and
-//!   [`MmapReader`] drives it over a memory-mapped trace file.  The string
-//!   parser above delegates to the same core, so the two cannot drift.
-//! * [`binary`]: the fixed-width *rapid wire format* (`.rwf`) —
-//!   [`BinReader`] / [`BinWriter`] / [`to_rwf_bytes`] — which removes
-//!   string handling from the hot path entirely (names live once in the
-//!   header's string tables; each event is a 13-byte frame).
-//!
-//! [`AnyReader`] unifies all three behind one iterator and auto-detects
-//! binary inputs by their magic bytes ([`looks_binary`]), which is what the
-//! `engine` CLI's `stream`/`batch`/`convert` subcommands use.
+//! [`AnyReader`] puts the two behind one iterator and auto-detects binary
+//! inputs by their magic bytes ([`looks_binary`]) — for files
+//! ([`AnyReader::open`]) and for bytes in memory ([`AnyReader::from_bytes`])
+//! alike.  The `engine` CLI and the shard driver read every input through
+//! it.
 //!
 //! The normative specification of all three encodings — grammar,
 //! optional-location forms, header and string-table layout, endianness and
@@ -59,7 +57,6 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::Path;
 
-use memmap2::Mmap;
 use rapid_vc::ThreadId;
 
 use crate::builder::Interner;
@@ -75,7 +72,7 @@ pub use binary::{
     looks_binary, to_rwf_bytes, to_rwf_stream_bytes, write_rwf_file, BinReader, BinWriter,
     RwfStreamWriter, FRAME_LEN, MAGIC, NO_LOCATION, VERSION, VERSION_STREAM,
 };
-pub use bytes::{parse_std_bytes, MmapReader};
+pub use bytes::parse_std_bytes;
 
 /// Why a trace file could not be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,9 +276,9 @@ pub struct StreamReader<R> {
     /// Whether a content (non-blank, non-comment) line has been consumed
     /// already — the CSV header is only recognized as the first one.
     seen_content: bool,
-    /// Buffer reused across lines.  Raw bytes: like the zero-copy readers,
-    /// this path never UTF-8-validates whole lines (FORMAT.md §1.4 requires
-    /// invalid bytes in names to be replaced, not rejected).
+    /// Buffer reused across lines.  Raw bytes: this reader never
+    /// UTF-8-validates whole lines (FORMAT.md §1.4 requires invalid bytes in
+    /// names to be replaced, not rejected).
     buffer: Vec<u8>,
     names: StreamNames,
     next_event: u32,
@@ -416,92 +413,100 @@ impl TextFormat {
     }
 }
 
-/// The buffered text reader behind [`AnyReader::Buffered`]: the bytes
-/// sniffed for format detection, chained back in front of the rest of the
-/// input — no seeking, so pipes and other non-seekable sources work.
-pub type BufferedText = StreamReader<BufReader<io::Chain<io::Cursor<Vec<u8>>, File>>>;
+/// The text reader behind [`AnyReader::Text`].  The byte source — a file, a
+/// pipe or bytes in memory — is boxed *under* the `BufReader`, so dynamic
+/// dispatch happens once per buffer refill, not once per line.
+pub type TextReader = StreamReader<BufReader<Box<dyn Read + Send>>>;
 
-/// One reader over any trace encoding: buffered text, memory-mapped text, or
-/// the binary wire format — the event source behind `engine stream`/`batch`.
+/// One reader over either trace encoding — the event source behind the
+/// `engine` CLI and the shard driver.
 ///
-/// [`AnyReader::open`] sniffs the file's first bytes and routes `.rwf` input
-/// to [`BinReader`] regardless of the requested text flavour, so callers
-/// never need to know what a file contains.
-#[derive(Debug)]
+/// [`AnyReader::open`] and [`AnyReader::from_bytes`] sniff the input's
+/// first bytes and route `.rwf` input to [`BinReader`] regardless of the
+/// requested text flavour, so callers never need to know what an input
+/// contains.
 pub enum AnyReader {
-    /// Text through a `BufReader` (the pre-mmap path; one copy per line).
-    Buffered(BufferedText),
-    /// Text over a memory map (zero-copy).
-    Mapped(MmapReader),
-    /// Binary wire format over a memory map (zero-copy, no string work).
+    /// Text (std or CSV) through a [`TextReader`].
+    Text(TextReader),
+    /// The binary wire format.
     Binary(BinReader),
 }
 
+impl fmt::Debug for AnyReader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnyReader::Text(reader) => f
+                .debug_struct("TextReader")
+                .field("line", &reader.line())
+                .field("events_read", &reader.events_read())
+                .finish_non_exhaustive(),
+            AnyReader::Binary(reader) => reader.fmt(f),
+        }
+    }
+}
+
 impl AnyReader {
-    /// Opens `path`, auto-detecting the binary format by magic bytes; text
-    /// files are read through a memory map when `use_mmap` is set and a
-    /// `BufReader` otherwise.
+    /// Opens `path`, auto-detecting the binary format by magic bytes.
     ///
-    /// Non-seekable and non-mappable inputs (pipes, fifos) work on every
-    /// path: the mmap shim falls back to reading the input into an owned
-    /// buffer, and the `BufRead` path chains the sniffed bytes back in
-    /// front instead of seeking.
+    /// Either way the input streams: text through a `BufReader`, with the
+    /// sniffed bytes chained back in front of the rest (so pipes and fifos
+    /// work too), and a regular `.rwf` file re-read from disk in runs of
+    /// frames.  Binary input that cannot seek (a pipe, a fifo) is read into
+    /// memory whole first, since its container is validated before the
+    /// first event.
+    ///
+    /// The third argument is ignored.  It used to choose between a
+    /// memory-mapped and a buffered text reader, and remains only so that
+    /// existing callers keep compiling.
     ///
     /// # Errors
     ///
     /// I/O failures surface as [`ParseErrorKind::Io`]; a detected binary
-    /// file with an unsound header fails as in [`BinReader::from_mmap`].
+    /// file with an unsound container fails as in [`BinReader::from_bytes`].
     pub fn open(
         path: impl AsRef<Path>,
         text: TextFormat,
-        use_mmap: bool,
+        _ignored: bool,
     ) -> Result<AnyReader, ParseError> {
         let io_error =
             |error: io::Error| ParseError { line: 0, kind: ParseErrorKind::Io(error.to_string()) };
         let mut file = File::open(&path).map_err(io_error)?;
+        let mut magic = Vec::with_capacity(MAGIC.len());
+        (&mut file).take(MAGIC.len() as u64).read_to_end(&mut magic).map_err(io_error)?;
+        if looks_binary(&magic) {
+            return Ok(AnyReader::Binary(BinReader::from_file(file, magic)?));
+        }
+        Ok(AnyReader::text(text, Box::new(io::Cursor::new(magic).chain(file))))
+    }
 
-        if use_mmap {
-            // Map (or fallback-read) first, sniff the mapped bytes: nothing
-            // is consumed from the source, so no bytes can be lost.
-            let data = Mmap::map(&file).map_err(io_error)?;
-            if looks_binary(&data) {
-                return Ok(AnyReader::Binary(BinReader::from_mmap(data)?));
-            }
-            return Ok(AnyReader::Mapped(match text {
-                TextFormat::Std => MmapReader::std_mmap(data),
-                TextFormat::Csv => MmapReader::csv_mmap(data),
-            }));
+    /// Reads trace bytes already in memory (a shard shipped over the wire,
+    /// a test input), with the same sniff and the same two readers as
+    /// [`AnyReader::open`].
+    ///
+    /// # Errors
+    ///
+    /// Binary input with an unsound container fails as in
+    /// [`BinReader::from_bytes`]; text errors surface while iterating.
+    pub fn from_bytes(bytes: Vec<u8>, text: TextFormat) -> Result<AnyReader, ParseError> {
+        if looks_binary(&bytes) {
+            return Ok(AnyReader::Binary(BinReader::from_bytes(bytes)?));
         }
+        Ok(AnyReader::text(text, Box::new(io::Cursor::new(bytes))))
+    }
 
-        // BufRead path: sniff the first bytes, then chain them back in
-        // front of the remaining input (works on non-seekable sources).
-        let mut magic = [0u8; 4];
-        let mut got = 0;
-        while got < magic.len() {
-            match file.read(&mut magic[got..]).map_err(io_error)? {
-                0 => break,
-                n => got += n,
-            }
-        }
-        if looks_binary(&magic[..got]) {
-            let mut contents = magic[..got].to_vec();
-            file.read_to_end(&mut contents).map_err(io_error)?;
-            return Ok(AnyReader::Binary(BinReader::from_bytes(contents)?));
-        }
-        let chained = io::Cursor::new(magic[..got].to_vec()).chain(file);
-        let buffered = BufReader::new(chained);
-        Ok(AnyReader::Buffered(match text {
+    fn text(text: TextFormat, input: Box<dyn Read + Send>) -> AnyReader {
+        let buffered = BufReader::new(input);
+        AnyReader::Text(match text {
             TextFormat::Std => StreamReader::std(buffered),
             TextFormat::Csv => StreamReader::csv(buffered),
-        }))
+        })
     }
 
     /// The name tables seen so far (complete up front for binary input,
     /// growing for text).
     pub fn names(&self) -> &StreamNames {
         match self {
-            AnyReader::Buffered(reader) => reader.names(),
-            AnyReader::Mapped(reader) => reader.names(),
+            AnyReader::Text(reader) => reader.names(),
             AnyReader::Binary(reader) => reader.names(),
         }
     }
@@ -509,8 +514,7 @@ impl AnyReader {
     /// Consumes the reader, returning the name tables.
     pub fn into_names(self) -> StreamNames {
         match self {
-            AnyReader::Buffered(reader) => reader.into_names(),
-            AnyReader::Mapped(reader) => reader.into_names(),
+            AnyReader::Text(reader) => reader.into_names(),
             AnyReader::Binary(reader) => reader.into_names(),
         }
     }
@@ -518,31 +522,17 @@ impl AnyReader {
     /// Number of events produced so far.
     pub fn events_read(&self) -> usize {
         match self {
-            AnyReader::Buffered(reader) => reader.events_read(),
-            AnyReader::Mapped(reader) => reader.events_read(),
+            AnyReader::Text(reader) => reader.events_read(),
             AnyReader::Binary(reader) => reader.events_read(),
         }
     }
 
-    /// A short human-readable label of the ingestion path in use.
+    /// Which encoding is being read: `"text"` or `"binary"`.
     pub fn source(&self) -> &'static str {
         match self {
-            AnyReader::Buffered(_) => "text/bufread",
-            AnyReader::Mapped(_) => "text/mmap",
-            AnyReader::Binary(_) => "binary/mmap",
+            AnyReader::Text(_) => "text",
+            AnyReader::Binary(_) => "binary",
         }
-    }
-}
-
-impl From<BufferedText> for AnyReader {
-    fn from(reader: BufferedText) -> Self {
-        AnyReader::Buffered(reader)
-    }
-}
-
-impl From<MmapReader> for AnyReader {
-    fn from(reader: MmapReader) -> Self {
-        AnyReader::Mapped(reader)
     }
 }
 
@@ -557,8 +547,7 @@ impl Iterator for AnyReader {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            AnyReader::Buffered(reader) => reader.next(),
-            AnyReader::Mapped(reader) => reader.next(),
+            AnyReader::Text(reader) => reader.next(),
             AnyReader::Binary(reader) => reader.next(),
         }
     }
@@ -865,13 +854,18 @@ main|fork(t1)|Main.java:1
     #[test]
     fn any_reader_does_not_lose_sniffed_bytes_on_fallback_inputs() {
         // Regression: `AnyReader::open` used to consume 4 magic-sniff bytes
-        // before handing the file to the readers, corrupting any input the
-        // mmap shim falls back to reading sequentially (pipes, fifos).  On
-        // unix, exercise a real fifo through both reader modes.
+        // before handing the file to the readers, corrupting any input that
+        // cannot seek back (pipes, fifos).  On unix, exercise a real fifo
+        // with text and with a `.rwf` v2 container, which cannot be re-read
+        // from disk and takes the read-whole fallback.
         #[cfg(unix)]
         {
             let dir = std::env::temp_dir();
-            for (mode, use_mmap) in [("mmap", true), ("bufread", false)] {
+            let text = "t1|w(x)|A:1\nt2|r(x)|B:2\n";
+            let rwf = to_rwf_stream_bytes(&parse_std(text).unwrap(), 1);
+            let expected: Vec<Event> =
+                BinReader::from_bytes(rwf.clone()).unwrap().collect::<Result<_, _>>().unwrap();
+            for (mode, contents) in [("text", text.as_bytes().to_vec()), ("binary", rwf)] {
                 let path = dir.join(format!("rapid-anyreader-fifo-{mode}-{}", std::process::id()));
                 std::fs::remove_file(&path).ok();
                 let status =
@@ -879,15 +873,17 @@ main|fork(t1)|Main.java:1
                 assert!(status.success(), "mkfifo failed");
                 let writer_path = path.clone();
                 let writer = std::thread::spawn(move || {
-                    std::fs::write(&writer_path, "t1|w(x)|A:1\nt2|r(x)|B:2\n").expect("fifo write");
+                    std::fs::write(&writer_path, contents).expect("fifo write");
                 });
-                let reader = AnyReader::open(&path, TextFormat::Std, use_mmap).expect("fifo opens");
+                let reader = AnyReader::open(&path, TextFormat::Std, true).expect("fifo opens");
+                assert_eq!(reader.source(), mode);
                 let events: Vec<Event> =
                     reader.collect::<Result<_, _>>().expect("all bytes arrive, none lost");
                 writer.join().expect("writer thread");
                 std::fs::remove_file(&path).ok();
                 assert_eq!(events.len(), 2, "{mode}: first line must not be corrupted");
                 assert!(events[0].kind().is_write(), "{mode}");
+                assert_eq!(events, expected, "{mode}");
             }
         }
     }

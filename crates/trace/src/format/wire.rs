@@ -13,15 +13,16 @@
 //! The reading side is [`Cursor`], a bounds-checked little-endian reader
 //! over a byte slice whose only error is [`Truncated`] (each codec maps it
 //! into its own typed error, with whatever position context it tracks).
-//! The writing side is the `put_*` free functions over a `Vec<u8>`.
+//! The `.rwf` reader streams its input instead of holding it as a slice, so
+//! it repeats the same checks over a seekable source.  The writing side is
+//! the `put_*` free functions over a `Vec<u8>`.
 //!
 //! No varints: every integer on every wire is fixed-width LE, matching the
 //! normative layout of `docs/FORMAT.md` §3 (and keeping frames seekable).
 
 /// The single decode error of the shared primitives: the input ended before
 /// the structure it declared.  Codecs map this into their own error types
-/// ([`ParseErrorKind::Truncated`](super::ParseErrorKind::Truncated) for
-/// `.rwf`, `WireErrorKind::Truncated` for the outcome codec).
+/// (`WireErrorKind::Truncated` for the outcome codec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Truncated;
 

@@ -20,10 +20,10 @@
 //!   output in tests).
 //! * **Formats** ([`format`]): a line-oriented "std" text format (modelled on
 //!   the RAPID/RVPredict logging format) plus CSV, with both parser and
-//!   writer; zero-copy ingestion over memory-mapped files
-//!   ([`format::MmapReader`]); and the fixed-width binary wire format
-//!   `.rwf` ([`format::BinReader`]).  All three encodings are specified
-//!   normatively in `docs/FORMAT.md` at the repository root.
+//!   writer, and the fixed-width binary wire format `.rwf`.  One streaming
+//!   reader per encoding ([`format::StreamReader`], [`format::BinReader`])
+//!   reads through one small reused buffer.  All three encodings are
+//!   specified normatively in `docs/FORMAT.md` at the repository root.
 //!
 //! # Examples
 //!

@@ -1,14 +1,22 @@
 //! Property tests of the binary wire format (`.rwf`) against the text
 //! formats: `std text → .rwf → std text` is byte-exact (modulo comments and
 //! blank lines, which the text parser discards before conversion), and the
-//! zero-copy readers agree with [`StreamReader`] event for event.
+//! binary reader agrees with [`StreamReader`] event for event.  A `.rwf`
+//! file read from disk decodes exactly as its bytes do in memory, and no
+//! mutation of any encoding makes a decoder panic.
 //!
 //! Together with the golden fixture `tests/fixtures/figure2b.rwf`, these
 //! back the encoding claims of `docs/FORMAT.md` §3.
 
+use std::fs::OpenOptions;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 use rapid_gen::random::RandomTraceConfig;
-use rapid_trace::format::{self, BinReader, MmapReader, StreamReader};
+use rapid_gen::{benchmarks, figures};
+use rapid_trace::format::{
+    self, AnyReader, BinReader, ParseError, ParseErrorKind, StreamReader, TextFormat,
+};
 use rapid_trace::Event;
 
 /// Random valid traces of varying shape (threads × locks × variables ×
@@ -75,8 +83,8 @@ proptest! {
         prop_assert_eq!(format::to_rwf_bytes(&back), rwf);
     }
 
-    /// All three readers yield identical event sequences — same kinds, same
-    /// interned ids, same locations — over equivalent inputs.
+    /// The text and binary readers yield identical event sequences — same
+    /// kinds, same interned ids, same locations — over equivalent inputs.
     #[test]
     fn all_readers_agree_on_events_and_names(trace in generated_trace()) {
         let text = format::write_std(&trace);
@@ -85,28 +93,20 @@ proptest! {
         let stream_events: Vec<Event> =
             stream.by_ref().collect::<Result<_, _>>().expect("parses");
 
-        let mut mapped = MmapReader::std_bytes(text.clone().into_bytes());
-        let mapped_events: Vec<Event> =
-            mapped.by_ref().collect::<Result<_, _>>().expect("parses");
-
         let rwf = format::to_rwf_bytes(&format::parse_std(&text).expect("parses"));
         let mut binary = BinReader::from_bytes(rwf).expect("sound header");
         let binary_events: Vec<Event> =
             binary.by_ref().collect::<Result<_, _>>().expect("decodes");
 
-        prop_assert_eq!(&stream_events, &mapped_events);
         prop_assert_eq!(&stream_events, &binary_events);
 
-        // Name tables agree id-for-id across all three.
+        // Name tables agree id-for-id across both.
         let stream_names = stream.into_names();
-        let mapped_names = mapped.into_names();
         let binary_names = binary.into_names();
-        for names in [&mapped_names, &binary_names] {
-            prop_assert_eq!(stream_names.num_threads(), names.num_threads());
-            prop_assert_eq!(stream_names.num_variables(), names.num_variables());
-            prop_assert_eq!(stream_names.num_locks(), names.num_locks());
-            prop_assert_eq!(stream_names.num_locations(), names.num_locations());
-        }
+        prop_assert_eq!(stream_names.num_threads(), binary_names.num_threads());
+        prop_assert_eq!(stream_names.num_variables(), binary_names.num_variables());
+        prop_assert_eq!(stream_names.num_locks(), binary_names.num_locks());
+        prop_assert_eq!(stream_names.num_locations(), binary_names.num_locations());
         for event in &stream_events {
             prop_assert_eq!(
                 stream_names.thread_name(event.thread()),
@@ -116,10 +116,141 @@ proptest! {
                 stream_names.location_name(event.location()),
                 binary_names.location_name(event.location())
             );
-            prop_assert_eq!(
-                stream_names.location_name(event.location()),
-                mapped_names.location_name(event.location())
-            );
         }
+    }
+}
+
+/// A `.rwf` file on disk decodes exactly as its bytes do in memory — across
+/// the reader's 4096-frame refills and on damaged files — and a file cut
+/// while it is being read ends in a typed error, not a panic.
+#[test]
+fn rwf_files_decode_like_their_bytes_across_chunk_boundaries() {
+    // The size of the engine's block fan-out test: two full 4096-frame runs
+    // plus a partial one.
+    let trace = benchmarks::benchmark_scaled("moldyn", 2 * 4096 + 123).expect("moldyn").trace;
+    assert_eq!(trace.len(), 2 * 4096 + 122);
+    // Each encoding with the first frame that must be re-read from disk
+    // after 5,000 frames: runs never cross a block, so 1000-frame blocks
+    // refill at frame 5,001 and the others at 8,193.
+    let encodings = [
+        ("v1", format::to_rwf_bytes(&trace), 8193),
+        ("v2-4096", format::to_rwf_stream_bytes(&trace, 4096), 8193),
+        ("v2-1000", format::to_rwf_stream_bytes(&trace, 1000), 5001),
+    ];
+    for (name, bytes, next_refill) in encodings {
+        let path =
+            std::env::temp_dir().join(format!("rapid-rwf-file-{}-{name}.rwf", std::process::id()));
+        std::fs::write(&path, &bytes).expect("writes");
+        // The text form checks every event and name against the model;
+        // `Trace` equality checks the ids as well.
+        let from_file = format::collect_any(BinReader::open(&path).expect("opens").into());
+        let from_bytes = format::collect_any(BinReader::from_bytes(bytes.clone()).unwrap().into());
+        let from_file = from_file.expect("decodes");
+        assert_eq!(format::write_std(&from_file), format::write_std(&trace), "{name}");
+        assert_eq!(Ok(from_file), from_bytes, "{name}");
+
+        // Damaged containers fail at `open`, exactly as the bytes do.
+        let damaged = [
+            (bytes[..bytes.len() - 1].to_vec(), ParseErrorKind::Truncated),
+            ([&bytes[..], &[0]].concat(), ParseErrorKind::TrailingBytes),
+        ];
+        for (damaged, kind) in damaged {
+            std::fs::write(&path, &damaged).expect("writes");
+            assert_eq!(BinReader::open(&path).expect_err(name).kind, kind, "{name}");
+            assert_eq!(BinReader::from_bytes(damaged).expect_err(name).kind, kind, "{name}");
+        }
+
+        // Cut the file after 5,000 frames have been read: frames already
+        // buffered still decode, and the next re-read fails as `Truncated`.
+        std::fs::write(&path, &bytes).expect("writes");
+        let mut reader = BinReader::open(&path).expect("opens");
+        for _ in 0..5000 {
+            reader.next().expect("a frame").expect("decodes");
+        }
+        let file = OpenOptions::new().write(true).open(&path).expect("reopens");
+        file.set_len(bytes.len() as u64 / 2).expect("cuts");
+        let rest: Vec<Result<Event, ParseError>> = reader.by_ref().collect();
+        std::fs::remove_file(&path).ok();
+        let (last, buffered) = rest.split_last().expect("a typed error");
+        assert_eq!(buffered.len(), next_refill - 5001, "{name}");
+        assert!(buffered.iter().all(Result::is_ok), "{name}");
+        let error = last.clone().expect_err(name);
+        assert_eq!((error.line, error.kind), (next_refill, ParseErrorKind::Truncated), "{name}");
+    }
+}
+
+/// splitmix64: a seeded generator small enough to write inline, so every
+/// mutant replays from its seed.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+}
+
+/// One to four random edits: flip a bit, cut the tail, insert a byte or
+/// delete one.
+fn mutate(input: &[u8], rng: &mut SplitMix) -> Vec<u8> {
+    let mut bytes = input.to_vec();
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.below(bytes.len() + 1);
+        match rng.below(4) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+            1 => bytes.truncate(at),
+            2 => bytes.insert(at, rng.next() as u8),
+            3 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+    bytes
+}
+
+/// Drains `bytes` through the sniffing reader: the event count, or the
+/// first error.
+fn decode(bytes: Vec<u8>, text: TextFormat) -> Result<usize, ParseError> {
+    let mut count = 0;
+    for event in AnyReader::from_bytes(bytes, text)? {
+        event?;
+        count += 1;
+    }
+    Ok(count)
+}
+
+/// The decoders never panic: every mutant of every encoding of Figure 2b
+/// ends in events or a [`ParseError`].
+#[test]
+fn decoders_never_panic_on_mutated_input() {
+    const MUTANTS: usize = 2000;
+    let trace = figures::figure_2b().trace;
+    let encodings = [
+        ("std", TextFormat::Std, format::write_std(&trace).into_bytes()),
+        ("csv", TextFormat::Csv, format::write_csv(&trace).into_bytes()),
+        ("rwf-v1", TextFormat::Std, format::to_rwf_bytes(&trace)),
+        ("rwf-v2", TextFormat::Std, format::to_rwf_stream_bytes(&trace, 2)),
+    ];
+    let mut rng = SplitMix(0x5EED);
+    for (name, text, original) in encodings {
+        let (mut decoded, mut rejected) = (0, 0);
+        for index in 0..MUTANTS {
+            let mutant = mutate(&original, &mut rng);
+            match catch_unwind(AssertUnwindSafe(|| decode(mutant.clone(), text))) {
+                Ok(Ok(_)) => decoded += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("{name} mutant {index} panicked the decoder: {mutant:?}"),
+            }
+        }
+        // Both outcomes occur: the edits reach past the sniff and the header.
+        assert!(decoded > 0 && rejected > 0, "{name}: {decoded} decoded, {rejected} rejected");
     }
 }
