@@ -253,7 +253,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between same-typed strategies (behind [`prop_oneof!`]).
+    /// Uniform choice between same-typed strategies (behind [`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<T> {
         options: Vec<BoxedStrategy<T>>,
     }

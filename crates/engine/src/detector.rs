@@ -16,7 +16,7 @@ use crate::outcome::{Metrics, Outcome};
 ///
 /// Contract: events are fed in trace order; [`Detector::finish`] is called
 /// exactly once, after the last event, with a
-/// [`NameResolver`](rapid_trace::NameResolver) for the ids the events used —
+/// [`NameResolver`] for the ids the events used —
 /// the detector resolves its per-pair race stats (its
 /// [`RaceSink`](rapid_trace::RaceSink)) into the name-keyed, mergeable
 /// [`Outcome`] at that boundary.  Windowed detectors may buffer and report

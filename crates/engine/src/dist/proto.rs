@@ -1015,7 +1015,7 @@ fn write_full(stream: &mut impl Write, buf: &[u8]) -> io::Result<()> {
 /// # Errors
 ///
 /// The stream's I/O error, including a typed timeout when the peer stops
-/// draining for [`MAX_STALLS`] consecutive write timeouts (backpressure).
+/// draining for `MAX_STALLS` consecutive write timeouts (backpressure).
 pub fn write_message(stream: &mut impl Write, message: &Message) -> Result<(), ProtoError> {
     let (tag, payload) = encode(message);
     let mut frame = Vec::with_capacity(9 + payload.len());

@@ -2,7 +2,7 @@
 //! [`ResultSink`] pair with a bounded content-addressed shard cache
 //! (grants whose bytes are resident answer `HAVE` and skip the pull), a
 //! prefetch pipeline that fetches lease N+1 while lease N analyzes, the
-//! `engine work` loop built on [`drive_queue`](crate::driver::drive_queue)
+//! `engine work` loop built on [`drive_queue`]
 //! with capped-exponential reconnect backoff, and the `engine submit`
 //! client that opens named jobs, streams shards as chunks, and fetches
 //! per-job reports.

@@ -10,7 +10,7 @@
 //! in an outcome may reference per-trace ids (which are dense and
 //! trace-local): race pairs are keyed by **interned names** — the variable
 //! and the two program locations, resolved through a
-//! [`NameResolver`](rapid_trace::NameResolver) when the detector finishes —
+//! [`NameResolver`] when the detector finishes —
 //! and every metric carries its own aggregation rule.  Field by field:
 //!
 //! | field | merge rule |

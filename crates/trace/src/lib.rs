@@ -18,7 +18,7 @@
 //!   correct reordering, a checker for it, and a bounded search for reordering
 //!   witnesses of predictable races/deadlocks (used to certify detector
 //!   output in tests).
-//! * **Formats** ([`format`]): a line-oriented "std" text format (modelled on
+//! * **Formats** ([`mod@format`]): a line-oriented "std" text format (modelled on
 //!   the RAPID/RVPredict logging format) plus CSV, with both parser and
 //!   writer, and the fixed-width binary wire format `.rwf`.  One streaming
 //!   reader per encoding ([`format::StreamReader`], [`format::BinReader`])

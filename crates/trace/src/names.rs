@@ -1,7 +1,7 @@
 //! Name resolution: one trait over every source of interned names.
 //!
 //! A [`Trace`] interns names at build time; the streaming readers intern
-//! them on the fly into [`StreamNames`](crate::format::StreamNames).  Both
+//! them on the fly into [`StreamNames`].  Both
 //! assign dense per-trace ids, so ids from *different* traces (or different
 //! readers over the same file) are not comparable — but the names are.  The
 //! [`NameResolver`] trait abstracts over every id→name table in the
@@ -17,7 +17,7 @@ use rapid_vc::ThreadId;
 /// Resolves interned per-trace ids back to the names they intern.
 ///
 /// Implemented by [`Trace`] (builder-time interning) and
-/// [`StreamNames`](crate::format::StreamNames) (reader-time interning).
+/// [`StreamNames`] (reader-time interning).
 /// The `*_label` helpers never fail: ids without a recorded name (e.g. the
 /// unknown location) fall back to the id's own display form, which is stable
 /// within one resolver.

@@ -200,7 +200,8 @@ impl RaceReport {
 /// smallest separation among them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairStats {
-    /// Number of race events reported for this pair (sums under merge).
+    /// Number of race events reported for this pair (sums under merge,
+    /// saturating at `usize::MAX`).
     pub race_events: usize,
     /// Minimum event separation among the pair's races.  Distances are
     /// trace-local, so merging keeps the minimum.
@@ -208,9 +209,11 @@ pub struct PairStats {
 }
 
 impl PairStats {
-    /// Folds another pair's stats into this one.
+    /// Folds another pair's stats into this one.  `race_events` saturates
+    /// instead of overflowing: decoded outcomes come from other processes,
+    /// so a hostile or corrupt count must not panic the fold.
     pub fn merge(&mut self, other: &PairStats) {
-        self.race_events += other.race_events;
+        self.race_events = self.race_events.saturating_add(other.race_events);
         self.min_distance = self.min_distance.min(other.min_distance);
     }
 }

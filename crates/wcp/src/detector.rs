@@ -147,8 +147,11 @@ struct VarState {
     reads: LastAccesses,
     /// Last write per thread, at local time `N_e`.
     writes: LastAccesses,
-    /// Rule (a) release tables, one entry per lock whose critical sections
-    /// accessed `x` (linear scan: variables are protected by few locks).
+    /// Rule (a) release summaries, one entry per lock whose critical
+    /// sections accessed `x`, sorted by lock and found by binary search.
+    /// Most variables are guarded by a few locks, but the count is not
+    /// bounded: on the xalan model one thread-local variable is accessed
+    /// under all 1,111 locks.
     rel: Vec<RelEntry>,
     /// Bumped whenever `read_clock` may have grown.
     read_gen: u64,
@@ -160,25 +163,83 @@ struct VarState {
     write_cache: AccessCache,
 }
 
-/// `L^r_{l,x}` / `L^w_{l,x}` for one `(lock, x)` pair, split by releasing
-/// thread: Rule (a) only applies when the release's critical section belongs
-/// to a *different* thread than the later access (conflicting events are by
-/// different threads), so the per-thread split lets an access skip its own
-/// thread's releases.  A bottom clock means "no entry" (release-time `H_t`
-/// is never bottom).
+impl VarState {
+    /// The Rule (a) entry of `lock`, if a release of it recorded one.
+    fn rel_entry(&self, lock: LockId) -> Option<&RelEntry> {
+        let found = self.rel.binary_search_by_key(&lock, |entry| entry.lock).ok()?;
+        Some(&self.rel[found])
+    }
+
+    /// The Rule (a) entry of `lock`, inserted in lock order if missing.
+    fn rel_entry_mut(&mut self, lock: LockId) -> &mut RelEntry {
+        let found = match self.rel.binary_search_by_key(&lock, |entry| entry.lock) {
+            Ok(found) => found,
+            Err(at) => {
+                let entry =
+                    RelEntry { lock, read: Releases::default(), write: Releases::default() };
+                self.rel.insert(at, entry);
+                at
+            }
+        };
+        &mut self.rel[found]
+    }
+}
+
+/// `L^r_{l,x}` / `L^w_{l,x}` for one `(lock, x)` pair: the HB times of the
+/// releases of `l` whose critical sections read (resp. wrote) `x`.
+///
+/// Rule (a) only orders a release before a later access by a *different*
+/// thread (conflicting events are by different threads), so an access by
+/// `t` must receive the join of these release times over the releases by
+/// threads other than `t`.  Two clocks per side suffice on traces that pass
+/// [`Trace::validate`]: every acquire of `l` joins `H_l`, the HB time of
+/// `l`'s previous release, so the release times of one lock form an HB
+/// chain, and the latest release by a thread other than `t` dominates every
+/// earlier release by any thread other than `t`.  [`Releases`] therefore
+/// keeps only the latest release with its thread and the latest release by
+/// any other thread; whichever of the two is not `t`'s own is the join.
 #[derive(Debug)]
 struct RelEntry {
     lock: LockId,
-    read: Vec<VectorClock>,
-    write: Vec<VectorClock>,
+    read: Releases,
+    write: Releases,
 }
 
-impl RelEntry {
-    fn slot(table: &mut Vec<VectorClock>, thread: usize) -> &mut VectorClock {
-        if table.len() <= thread {
-            table.resize_with(thread + 1, VectorClock::bottom);
+/// One side of a [`RelEntry`]: the latest release's HB time with its
+/// thread, and the latest release time by any other thread.  An empty clock
+/// means "no such release" (a release-time `H_t` is never bottom).
+#[derive(Debug, Default)]
+struct Releases {
+    /// The thread of the latest release, `None` before the first.
+    last_thread: Option<ThreadId>,
+    /// The HB time of the latest release (of `last_thread`'s latest run of
+    /// consecutive releases).
+    last: VectorClock,
+    /// The HB time of the latest release by a thread other than
+    /// `last_thread`.
+    other: VectorClock,
+}
+
+impl Releases {
+    /// Records a release by `thread` at HB time `hb`.
+    fn record(&mut self, thread: ThreadId, hb: &VectorClock) {
+        if self.last_thread == Some(thread) {
+            self.last.join(hb);
+        } else {
+            std::mem::swap(&mut self.last, &mut self.other);
+            self.last.copy_from(hb);
+            self.last_thread = Some(thread);
         }
-        &mut table[thread]
+    }
+
+    /// The clock Rule (a) joins into an access by `thread`: the latest
+    /// release by another thread (empty if there is none).
+    fn for_access(&self, thread: ThreadId) -> &VectorClock {
+        if self.last_thread == Some(thread) {
+            &self.other
+        } else {
+            &self.last
+        }
     }
 }
 
@@ -521,15 +582,9 @@ impl WcpState {
                     }
                     let state = &mut vars[var.index()];
                     state.rel_gen += 1;
-                    let entry = match state.rel.iter_mut().position(|entry| entry.lock == lock) {
-                        Some(found) => &mut state.rel[found],
-                        None => {
-                            state.rel.push(RelEntry { lock, read: Vec::new(), write: Vec::new() });
-                            state.rel.last_mut().expect("just pushed")
-                        }
-                    };
-                    let table = if write_side { &mut entry.write } else { &mut entry.read };
-                    RelEntry::slot(table, index).join(hb_time);
+                    let entry = state.rel_entry_mut(lock);
+                    let side = if write_side { &mut entry.write } else { &mut entry.read };
+                    side.record(thread, hb_time);
                 }
             }
         }
@@ -599,15 +654,14 @@ impl WcpState {
         let mut rule_a_joins = 0u32;
         if depth > 0 {
             for lock in lockctx.held_iter(thread) {
-                let Some(entry) = state.rel.iter().find(|entry| entry.lock == lock) else {
+                let Some(entry) = state.rel_entry(lock) else {
                     continue;
                 };
-                for (other, clock) in entry.write.iter().enumerate() {
-                    if other != index && !clock.is_bottom() {
-                        stats.clock_joins += 1;
-                        rule_a_joins += 1;
-                        wcp[index].join(clock);
-                    }
+                let clock = entry.write.for_access(thread);
+                if !clock.is_empty() {
+                    stats.clock_joins += 1;
+                    rule_a_joins += 1;
+                    wcp[index].join(clock);
                 }
             }
             if rule_a_joins > 0 {
@@ -684,16 +738,15 @@ impl WcpState {
         let mut rule_a_joins = 0u32;
         if depth > 0 {
             for lock in lockctx.held_iter(thread) {
-                let Some(entry) = state.rel.iter().find(|entry| entry.lock == lock) else {
+                let Some(entry) = state.rel_entry(lock) else {
                     continue;
                 };
-                for table in [&entry.read, &entry.write] {
-                    for (other, clock) in table.iter().enumerate() {
-                        if other != index && !clock.is_bottom() {
-                            stats.clock_joins += 1;
-                            rule_a_joins += 1;
-                            wcp[index].join(clock);
-                        }
+                for side in [&entry.read, &entry.write] {
+                    let clock = side.for_access(thread);
+                    if !clock.is_empty() {
+                        stats.clock_joins += 1;
+                        rule_a_joins += 1;
+                        wcp[index].join(clock);
                     }
                 }
             }
@@ -798,9 +851,13 @@ impl WcpState {
 /// differ (fan-out is counted against the threads known at the time).
 /// Malformed traces (a release without a matching acquire breaks mutual
 /// exclusion, and with it the `P_l` monotonicity the argument rests on) keep
-/// the pre-registered guarantee only.  [`WcpDetector`] pre-registers the
-/// full thread set, making batch runs report the same races, orderings and
-/// timestamps as the original whole-trace algorithm.
+/// the pre-registered guarantee only.  On traces that fail
+/// [`Trace::validate`], Rule (a) may also miss orderings: each (lock,
+/// variable) pair keeps two release times per access kind, and they stand
+/// for all earlier releases only while one lock's releases form an HB
+/// chain.  [`WcpDetector`] pre-registers the full thread set, making batch
+/// runs report the same races, orderings and timestamps as the original
+/// whole-trace algorithm.
 pub struct WcpStream {
     state: WcpState,
 }

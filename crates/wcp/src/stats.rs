@@ -39,6 +39,12 @@ pub struct WcpStats {
     /// Number of vector-clock join operations performed (a proxy for the
     /// `O(N·(T² + L))` bound of Theorem 3).  Mode-independent: an epoch
     /// fast-path hit counts the joins the full pipeline would have done.
+    ///
+    /// A Rule (a) join is one non-empty release summary joined into an
+    /// access: per held lock, the writes' summary for a read and the reads'
+    /// and writes' summaries for a write, whatever the number of threads
+    /// that released the lock.  A release counts one join per variable its
+    /// critical section read and one per variable it wrote.
     pub clock_joins: u64,
     /// Read events answered by the O(1) epoch fast path (no clock work).
     pub epoch_fast_reads: u64,

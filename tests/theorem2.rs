@@ -118,6 +118,39 @@ fn race_events_match_closure_on_all_figures() {
 }
 
 #[test]
+fn rule_a_joins_the_latest_release_by_another_thread() {
+    // t2 last released `l` after reading `x`, so its w(x) must still receive
+    // t1's earlier release: that section read `x` too, and t1's w(z) rides
+    // along to order t2's r(z).  A Rule (a) summary that kept only the
+    // latest release would skip it as t2's own and report two races.
+    let mut b = TraceBuilder::new();
+    let t1 = b.thread("t1");
+    let t2 = b.thread("t2");
+    let l = b.lock("l");
+    let x = b.variable("x");
+    let z = b.variable("z");
+    b.write(t1, z);
+    b.critical_section(t1, l, |b| {
+        b.read(t1, x);
+    });
+    b.critical_section(t2, l, |b| {
+        b.read(t2, x);
+    });
+    b.critical_section(t2, l, |b| {
+        b.write(t2, x);
+    });
+    b.read(t2, z);
+    let trace = b.finish();
+
+    let mut stream = WcpStream::with_threads(trace.num_threads());
+    let races: Vec<Race> =
+        trace.events().iter().flat_map(|event| stream.on_event(event).to_vec()).collect();
+    assert!(races.is_empty(), "WCP orders every conflicting pair here: {races:?}");
+    assert_theorem2(&trace, "latest release by another thread");
+    assert_race_events_match_closure(&trace, "latest release by another thread");
+}
+
+#[test]
 fn theorem2_holds_on_the_lower_bound_family() {
     for (u, v) in [(0b10u64, 0b10u64), (0b10, 0b01), (0b111, 0b110)] {
         let bits = 3;
