@@ -129,20 +129,9 @@ fn parse_args() -> Result<Options, String> {
     if mode == "--help" || mode == "-h" {
         return Err(USAGE.to_owned());
     }
-    // `bench-dist` is deliberately absent from the usage text: a
-    // perf-smoke harness (in-process cluster, double submit, scheduling
-    // metrics as a table), not part of the supported surface.
     if !matches!(
         mode.as_str(),
-        "stream"
-            | "batch"
-            | "multi"
-            | "convert"
-            | "serve"
-            | "work"
-            | "submit"
-            | "shutdown"
-            | "bench-dist"
+        "stream" | "batch" | "multi" | "convert" | "serve" | "work" | "submit" | "shutdown"
     ) {
         return Err(format!("unknown mode `{mode}`\n{USAGE}"));
     }
@@ -275,14 +264,14 @@ fn parse_args() -> Result<Options, String> {
     }
     let expected = match options.mode.as_str() {
         "convert" => "an input and an output path",
-        "multi" | "bench-dist" => "at least one trace file or directory",
+        "multi" => "at least one trace file or directory",
         "work" | "shutdown" => "a coordinator address",
         "submit" => "a coordinator address (then optional shard files)",
         _ => "a trace file",
     };
     let arity_ok = match options.mode.as_str() {
         "convert" => options.paths.len() == 2,
-        "multi" | "bench-dist" => !options.paths.is_empty(),
+        "multi" => !options.paths.is_empty(),
         "serve" => true, // zero files = a pure resident service
         "work" | "shutdown" => options.paths.len() == 1,
         "submit" => !options.paths.is_empty(),
@@ -636,66 +625,6 @@ fn run_submit(options: &Options) -> Result<bool, String> {
     Ok(any_races(&report.merged))
 }
 
-/// The hidden `bench-dist` mode: an in-process coordinator + one worker
-/// fleet, the shard files submitted twice under one job name (a cold
-/// pass, then a warm one that exercises name reuse and the shard cache),
-/// and each pass's scheduling metrics printed as a table — so perf runs
-/// don't need JSON spelunking.
-fn run_bench_dist(options: &Options) -> Result<bool, String> {
-    build_detectors(options, 0)?;
-    let paths = shard_paths(options)?;
-    let serve = ServeConfig {
-        spec: spec(options),
-        text: text_override(options),
-        lease_timeout: Duration::from_secs(options.lease_timeout),
-        speculate_after: options.speculate_after.map(Duration::from_secs_f64),
-        ..ServeConfig::default()
-    };
-    let coordinator = dist::Coordinator::bind(&[], &serve)?;
-    let addr = coordinator.local_addr().to_string();
-    let server = std::thread::spawn(move || coordinator.run());
-    let work_config = dist::WorkConfig {
-        jobs: options.jobs,
-        cache_bytes: options.cache_bytes,
-        prefetch: !options.no_prefetch,
-        ..dist::WorkConfig::default()
-    };
-    let worker = {
-        let addr = addr.clone();
-        std::thread::spawn(move || dist::work(&addr, &work_config))
-    };
-    println!(
-        "{:<5} {:>7} {:>18} {:>11} {:>14} {:>11}",
-        "pass", "shards", "bytes_transferred", "cache_hits", "leases_stolen", "wall"
-    );
-    let mut races = false;
-    for pass in ["cold", "warm"] {
-        let submit_config = dist::SubmitConfig {
-            job: Some("bench-dist".to_owned()),
-            paths: paths.clone(),
-            spec: spec(options),
-            text: text_override(options),
-            ..dist::SubmitConfig::default()
-        };
-        let report = dist::submit(&addr, &submit_config)?;
-        let metric = |name: &str| report.scheduling.get(name).unwrap_or(0.0) as u64;
-        println!(
-            "{:<5} {:>7} {:>18} {:>11} {:>14} {:>11}",
-            pass,
-            report.shards,
-            metric("bytes_transferred"),
-            metric("cache_hits"),
-            metric("leases_stolen"),
-            format!("{:.2?}", report.wall),
-        );
-        races = races || any_races(&report.merged);
-    }
-    dist::shutdown(&addr)?;
-    worker.join().map_err(|_| "worker thread panicked".to_owned())??;
-    server.join().map_err(|_| "serve thread panicked".to_owned())??;
-    Ok(races)
-}
-
 /// The `shutdown` mode: ask a resident coordinator to drain and exit.
 fn run_shutdown(options: &Options) -> Result<bool, String> {
     let addr = options.paths[0].as_str();
@@ -776,7 +705,6 @@ fn main() -> ExitCode {
         "work" => run_work(&options),
         "submit" => run_submit(&options),
         "shutdown" => run_shutdown(&options),
-        "bench-dist" => run_bench_dist(&options),
         _ => run(&options),
     };
     match result {

@@ -73,6 +73,11 @@ pub const CHUNK_LEN: usize = 4 << 20;
 /// turns a stalled peer into a typed error on both directions.
 const MAX_STALLS: u32 = 240;
 
+/// Payload bytes [`read_message`] reads per step.  The buffer grows only as
+/// a frame's bytes arrive, so a 9-byte header declaring [`MAX_FRAME_LEN`]
+/// costs one step's allocation, not a gigabyte.
+const READ_STEP: usize = 64 << 10;
+
 const TAG_HELLO: u8 = 0;
 const TAG_WELCOME: u8 = 1;
 const TAG_LEASE: u8 = 2;
@@ -1112,8 +1117,20 @@ pub fn read_message(stream: &mut impl Read) -> Result<Incoming, ProtoError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_full(stream, &mut payload)?;
+    let size = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < size {
+        let filled = payload.len();
+        let step = (size - filled).min(READ_STEP);
+        if payload.capacity() < filled + step {
+            // Double what has arrived, never past the declared length:
+            // `resize`'s own growth would round a frame just over one step
+            // up to twice its size.
+            payload.reserve_exact(filled.max(step).min(size - filled));
+        }
+        payload.resize(filled + step, 0);
+        read_full(stream, &mut payload[filled..])?;
+    }
     let actual = frame_crc(tag[0], len, &payload);
     if actual != declared {
         return Err(ProtoError::Corrupt { declared, actual });
@@ -1184,78 +1201,149 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_message_round_trips() {
-        round_trip(Message::Hello { role: Role::Worker });
-        round_trip(Message::Hello { role: Role::Submit });
-        round_trip(Message::Welcome { jobs_hint: 4 });
-        round_trip(Message::Lease);
-        round_trip(Message::Grant {
-            job: 7,
-            shard: 3,
-            name: "shards/a.rwf".to_owned(),
-            text: TextFormat::Csv,
-            spec: DetectorSpec::default(),
-            chunks: 2,
-            content: ContentId { len: 4096, crc: 0xDEAD_BEEF },
-        });
-        round_trip(Message::Have { job: 7, shard: 3 });
-        round_trip(Message::Pull { job: 7, shard: 3 });
-        round_trip(Message::Stale { job: 7, shard: 3 });
-        round_trip(Message::ShardOpen {
-            job: 7,
-            shard: 3,
-            name: "shards/a.rwf".to_owned(),
-            text: TextFormat::Std,
-            chunks: 1,
-        });
-        round_trip(Message::ShardChunk {
-            job: 7,
-            shard: 3,
-            seq: 0,
-            last: false,
-            bytes: vec![1, 2, 3, 255],
-        });
-        round_trip(Message::ShardChunk { job: 7, shard: 3, seq: 1, last: true, bytes: Vec::new() });
-        round_trip(Message::Outcome {
-            job: 7,
-            shard: 3,
-            events: 10,
-            wall_nanos: 123_456,
-            runs: vec![WireRun { time_nanos: 99, outcome: sample_outcome() }],
-        });
-        round_trip(Message::Failed { job: 7, shard: 1, message: "line 2: bad".to_owned() });
-        round_trip(Message::Done);
-        round_trip(Message::JobOpen {
-            name: "nightly".to_owned(),
-            spec: DetectorSpec::default(),
-            shards: 4,
-        });
-        round_trip(Message::JobAccept { job: 7 });
-        round_trip(Message::JobClose { job: 7 });
-        round_trip(Message::Fetch { name: "default".to_owned() });
-        round_trip(Message::Shutdown);
+    /// One or more instances of every message kind.
+    fn sample_messages() -> Vec<Message> {
         let mut scheduling = Metrics::new();
         scheduling.record_sum("bytes_transferred", 8192.0);
         scheduling.record_sum("cache_hits", 3.0);
         scheduling.record_sum("leases_stolen", 1.0);
-        round_trip(Message::Report {
-            workers: 2,
-            shards: 4,
-            events: 40,
-            wall_nanos: 7,
-            runs: vec![WireRun { time_nanos: 5, outcome: sample_outcome() }],
-            scheduling,
-        });
-        round_trip(Message::Report {
-            workers: 1,
-            shards: 1,
-            events: 2,
-            wall_nanos: 9,
-            runs: Vec::new(),
-            scheduling: Metrics::new(),
-        });
-        round_trip(Message::Error { message: "shard x: truncated".to_owned() });
+        vec![
+            Message::Hello { role: Role::Worker },
+            Message::Hello { role: Role::Submit },
+            Message::Welcome { jobs_hint: 4 },
+            Message::Lease,
+            Message::Grant {
+                job: 7,
+                shard: 3,
+                name: "shards/a.rwf".to_owned(),
+                text: TextFormat::Csv,
+                spec: DetectorSpec::default(),
+                chunks: 2,
+                content: ContentId { len: 4096, crc: 0xDEAD_BEEF },
+            },
+            Message::Have { job: 7, shard: 3 },
+            Message::Pull { job: 7, shard: 3 },
+            Message::Stale { job: 7, shard: 3 },
+            Message::ShardOpen {
+                job: 7,
+                shard: 3,
+                name: "shards/a.rwf".to_owned(),
+                text: TextFormat::Std,
+                chunks: 1,
+            },
+            Message::ShardChunk {
+                job: 7,
+                shard: 3,
+                seq: 0,
+                last: false,
+                bytes: vec![1, 2, 3, 255],
+            },
+            Message::ShardChunk { job: 7, shard: 3, seq: 1, last: true, bytes: Vec::new() },
+            Message::Outcome {
+                job: 7,
+                shard: 3,
+                events: 10,
+                wall_nanos: 123_456,
+                runs: vec![WireRun { time_nanos: 99, outcome: sample_outcome() }],
+            },
+            Message::Failed { job: 7, shard: 1, message: "line 2: bad".to_owned() },
+            Message::Done,
+            Message::JobOpen {
+                name: "nightly".to_owned(),
+                spec: DetectorSpec::default(),
+                shards: 4,
+            },
+            Message::JobAccept { job: 7 },
+            Message::JobClose { job: 7 },
+            Message::Fetch { name: "default".to_owned() },
+            Message::Shutdown,
+            Message::Report {
+                workers: 2,
+                shards: 4,
+                events: 40,
+                wall_nanos: 7,
+                runs: vec![WireRun { time_nanos: 5, outcome: sample_outcome() }],
+                scheduling,
+            },
+            Message::Report {
+                workers: 1,
+                shards: 1,
+                events: 2,
+                wall_nanos: 9,
+                runs: Vec::new(),
+                scheduling: Metrics::new(),
+            },
+            Message::Error { message: "shard x: truncated".to_owned() },
+        ]
+    }
+
+    #[test]
+    fn every_message_round_trips() {
+        for message in sample_messages() {
+            round_trip(message);
+        }
+    }
+
+    /// splitmix64: a seeded generator small enough to write inline, so every
+    /// mutant replays from its seed.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+    }
+
+    /// One to four random edits: flip a bit, cut the tail, insert a byte or
+    /// delete one.
+    fn mutate(input: &[u8], rng: &mut SplitMix) -> Vec<u8> {
+        let mut bytes = input.to_vec();
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(bytes.len() + 1);
+            match rng.below(4) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                1 => bytes.truncate(at),
+                2 => bytes.insert(at, rng.next() as u8),
+                3 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        bytes
+    }
+
+    /// The payload decoder never panics: every mutant of every message's
+    /// payload, now and then under a random tag, ends in a message or a
+    /// typed error.  Payloads are mutated directly because a mutated whole
+    /// frame fails its checksum before `decode` sees it.
+    #[test]
+    fn decoder_never_panics_on_mutated_payloads() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        const MUTANTS: usize = 4000;
+        let encodings: Vec<(u8, Vec<u8>)> = sample_messages().iter().map(encode).collect();
+        let mut rng = SplitMix(0x5EED);
+        let (mut decoded, mut rejected) = (0, 0);
+        for index in 0..MUTANTS {
+            let (tag, original) = &encodings[index % encodings.len()];
+            let tag = if rng.below(16) == 0 { rng.next() as u8 } else { *tag };
+            let mutant = mutate(original, &mut rng);
+            match catch_unwind(AssertUnwindSafe(|| decode(tag, &mutant))) {
+                Ok(Ok(_)) => decoded += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("mutant {index} (tag {tag}) panicked the decoder: {mutant:?}"),
+            }
+        }
+        // Both outcomes occur: the edits reach past the fixed fields.
+        assert!(decoded > 0 && rejected > 0, "{decoded} decoded, {rejected} rejected");
     }
 
     #[test]
@@ -1488,6 +1576,47 @@ mod tests {
         client.write_all(&[TAG_SHARD_CHUNK, 200, 0, 0, 0, 1, 2]).unwrap();
         drop(client);
         assert!(matches!(read_message(&mut server), Err(ProtoError::Io(_))));
+    }
+
+    /// Serves fixed bytes, then EOF, recording the largest buffer a reader
+    /// offers it.
+    struct RecordingPeer<'a> {
+        bytes: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for RecordingPeer<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn hostile_length_header_allocates_only_as_bytes_arrive() {
+        // A 9-byte header declaring the largest legal frame, then EOF: the
+        // reader must fail typed after reserving one read step, not the
+        // declared gigabyte.
+        let mut frame = vec![TAG_HELLO];
+        frame.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        frame.extend_from_slice(&[0, 0, 0, 0]);
+        let mut peer = RecordingPeer { bytes: &frame, largest: 0 };
+        match read_message(&mut peer) {
+            Err(ProtoError::Io(error)) => assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a typed EOF error, got {other:?}"),
+        }
+        assert!(peer.largest <= READ_STEP, "offered a {}-byte buffer", peer.largest);
+
+        // A real frame of several steps still arrives byte-exact.
+        let bytes: Vec<u8> = (0..3 * READ_STEP + 5).map(|i| i as u8).collect();
+        let chunk = Message::ShardChunk { job: 1, shard: 2, seq: 0, last: true, bytes };
+        let frame = frame_bytes(&chunk);
+        let mut peer = RecordingPeer { bytes: &frame, largest: 0 };
+        match read_message(&mut peer) {
+            Ok(Incoming::Message(received)) => assert_eq!(received, chunk),
+            other => panic!("expected the chunk back, got {other:?}"),
+        }
+        assert!(peer.largest <= READ_STEP, "offered a {}-byte buffer", peer.largest);
     }
 
     /// Encodes one message to its raw frame bytes (what a socket would see).

@@ -172,10 +172,10 @@ impl std::error::Error for DriverError {}
 /// threads, returning results in input order.
 ///
 /// This is the driver's work queue, exposed because other harnesses (the
-/// Table 1 reproduction, the bench-smoke workload) fan their own units of
-/// work through it: items are claimed atomically off a shared cursor, so an
-/// expensive item never blocks the queue behind it, and results are slotted
-/// by index — worker interleaving cannot reorder them.
+/// Table 1 reproduction) fan their own units of work through it: items are
+/// claimed atomically off a shared cursor, so an expensive item never
+/// blocks the queue behind it, and results are slotted by index — worker
+/// interleaving cannot reorder them.
 pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, work: F) -> Vec<R>
 where
     T: Sync,

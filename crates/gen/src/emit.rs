@@ -4,8 +4,8 @@
 //! fixtures need them on disk — std text for human-auditable cases, the
 //! binary wire format (`.rwf`, see `docs/FORMAT.md`) for the string-free
 //! ingestion path.  These helpers are the one place that decision is made,
-//! so harnesses (`table1 --bench-smoke`, the ingestion bench, CI smoke
-//! steps) emit every encoding the same way.
+//! so harnesses (perfbench's inputs, the engine's shard tests, the
+//! examples) emit every encoding the same way.
 
 use std::io;
 use std::path::Path;
