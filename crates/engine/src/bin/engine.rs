@@ -14,8 +14,8 @@
 //!                                   [--lease-timeout SECS] [--speculate-after SECS]
 //!                                   [same flags]
 //!                                         # resident coordinator: a job registry served
-//!                                         # by one worker fleet; files become the
-//!                                         # closed "default" job; with speculation,
+//!                                         # by one worker fleet; files, read once, are
+//!                                         # the closed "default" job; with speculation,
 //!                                         # straggling leases are re-granted to idle
 //!                                         # workers (first result wins)
 //! engine work    <addr> [--jobs N] [--retries N] [--retry-max-wait SECS]
@@ -117,7 +117,7 @@ engine work <addr> [--jobs N] [--retries N] [--retry-max-wait SECS] [--cache-byt
 [--no-prefetch]\n       engine submit <addr> [--job NAME \
 [files-or-dirs...]] [--timeout SECS] [--races] [--fail-on-race]\n       \
 engine shutdown <addr>\n       engine convert <in> <out> [--format std|csv]\n\
-serve|work|submit also take --chaos-seed N (test/bench only: deterministic fault \
+work|submit also take --chaos-seed N (test/bench only: deterministic fault \
 injection into the transport, replayable from the seed)";
 
 /// Exit code when `--fail-on-race` is set and a race was detected.
@@ -473,9 +473,10 @@ fn drain_on_sigint(control: dist::ServeControl) {
 fn drain_on_sigint(_control: dist::ServeControl) {}
 
 /// The `serve` mode: a resident coordinator multiplexing named jobs over
-/// one worker fleet.  Shard files (if any) become the closed `default`
-/// job; `--once` drains after the first answered report; SIGINT drains
-/// gracefully.  Prints each job's merged report as `multi` would.
+/// one worker fleet.  Shard files (if any) are read once, at startup, into
+/// the closed `default` job; `--once` drains after the first answered
+/// report; SIGINT drains gracefully.  Prints each job's merged report as
+/// `multi` would.
 fn run_serve(options: &Options) -> Result<bool, String> {
     let paths = shard_paths(options)?;
     let config = ServeConfig {
@@ -486,7 +487,6 @@ fn run_serve(options: &Options) -> Result<bool, String> {
         lease_timeout: Duration::from_secs(options.lease_timeout),
         once: options.once,
         speculate_after: options.speculate_after.map(Duration::from_secs_f64),
-        chaos: chaos(options),
         ..ServeConfig::default()
     };
     let coordinator = dist::Coordinator::bind(&paths, &config)?;

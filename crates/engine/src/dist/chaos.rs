@@ -9,10 +9,12 @@
 //! found by the chaos proptests reproduces exactly from the seed printed in
 //! the failure.
 //!
-//! The hook into the production paths is [`ChaosConfig`], default **off**:
-//! when off, connections stay plain `TcpStream`s wrapped in
-//! [`RwpStream::Plain`] — one enum discriminant test per I/O call, no dyn
-//! dispatch, no buffering, no extra copies on the hot path.
+//! The hook into the production paths is [`ChaosConfig`] on the worker and
+//! submit sides, default **off**: when off, connections stay plain
+//! `TcpStream`s wrapped in [`RwpStream::Plain`] — one enum discriminant
+//! test per I/O call, no dyn dispatch, no buffering, no extra copies on
+//! the hot path.  The coordinator's connections are always plain; a plan
+//! on the client end perturbs both directions of the same socket.
 //!
 //! Faults are modeled at the layer the hardening has to survive:
 //!
@@ -175,25 +177,20 @@ enum Plans {
 }
 
 /// The test/bench-only fault-injection hook threaded through
-/// [`ServeConfig`](super::ServeConfig), [`WorkConfig`](super::WorkConfig)
-/// and [`SubmitConfig`](super::SubmitConfig).
+/// [`WorkConfig`](super::WorkConfig) and
+/// [`SubmitConfig`](super::SubmitConfig).
 ///
-/// Default **off**: [`wrap`](Self::wrap) returns [`RwpStream::Plain`] and
-/// the transport byte flow is untouched.  Production paths never construct
-/// anything else.
+/// Default **off**: [`plan_for`](Self::plan_for) yields no plan, so every
+/// connection stays [`RwpStream::Plain`] and the transport byte flow is
+/// untouched.  Production paths never construct anything else.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosConfig {
     plans: Plans,
 }
 
 impl ChaosConfig {
-    /// No fault injection (the default).
-    pub fn off() -> Self {
-        ChaosConfig::default()
-    }
-
     /// Derive every connection's plan from one base seed: connection `n`
-    /// (0-based, in accept/connect order per endpoint) gets
+    /// (0-based, in connect order) gets
     /// `FaultPlan::from_seed(mix(seed, n))`.  Replayable: the same seed
     /// yields the same schedule on every connection.
     pub fn seeded(seed: u64) -> Self {
@@ -204,11 +201,6 @@ impl ChaosConfig {
     /// past the end of the list are clean.
     pub fn scripted(plans: Vec<FaultPlan>) -> Self {
         ChaosConfig { plans: Plans::Scripted(plans) }
-    }
-
-    /// True when no connection will ever see a fault.
-    pub fn is_off(&self) -> bool {
-        matches!(self.plans, Plans::Off)
     }
 
     /// The plan for the `connection`-th wrapped stream, if any.
@@ -227,15 +219,6 @@ impl ChaosConfig {
                     Some(plan.clone())
                 }
             }
-        }
-    }
-
-    /// Wraps the `connection`-th stream: plain when off (zero overhead),
-    /// chaotic when a plan applies.
-    pub fn wrap(&self, stream: TcpStream, connection: u64) -> RwpStream {
-        match self.plan_for(connection) {
-            None => RwpStream::Plain(stream),
-            Some(plan) => RwpStream::Chaos(ChaosStream::new(stream, plan)),
         }
     }
 }
@@ -410,9 +393,9 @@ impl Write for ChaosStream {
     }
 }
 
-/// The transport every dist connection runs over: a plain `TcpStream` in
-/// production (chaos off — one discriminant test per call, no dyn
-/// dispatch), or a [`ChaosStream`] under an active fault plan.
+/// The transport a worker or submit connection runs over: a plain
+/// `TcpStream` in production (chaos off — one discriminant test per call,
+/// no dyn dispatch), or a [`ChaosStream`] under an active fault plan.
 #[derive(Debug)]
 pub enum RwpStream {
     /// The production transport: bytes flow untouched.
@@ -422,9 +405,9 @@ pub enum RwpStream {
 }
 
 impl RwpStream {
-    /// Adjusts the underlying socket's read timeout — the coordinator's
-    /// worker loop shortens it while a lease claim is pending so queued
-    /// pipelined `OUTCOME`s drain between claim polls.
+    /// Adjusts the underlying socket's read timeout — the worker's
+    /// prefetch pipeline shortens it so a finished result reaches the
+    /// coordinator while the next lease waits.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             RwpStream::Plain(stream) => stream.set_read_timeout(timeout),
@@ -482,7 +465,6 @@ mod tests {
 
     #[test]
     fn off_config_wraps_plain() {
-        assert!(ChaosConfig::default().is_off());
         assert!(ChaosConfig::default().plan_for(0).is_none());
         assert!(ChaosConfig::scripted(vec![FaultPlan::clean()]).plan_for(0).is_none());
         assert!(ChaosConfig::scripted(Vec::new()).plan_for(5).is_none());

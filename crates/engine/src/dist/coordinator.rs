@@ -17,13 +17,13 @@ use crate::detector::DetectorSpec;
 use crate::driver::{fold_runs, DriverError, MultiReport, ShardRun};
 use crate::engine::DetectorRun;
 
-use super::chaos::{ChaosConfig, RwpStream};
 use super::proto::{self, ContentId, Incoming, Message, Role, WireRun};
 
 use crate::outcome::Metrics;
 
-/// The name under which `engine serve FILES…` registers its file-backed
-/// shards, and the job a bare `engine submit` (no `--job`) fetches.
+/// The name under which `engine serve FILES…` registers its shard files
+/// (read once, at bind), and the job a bare `engine submit` (no `--job`)
+/// fetches.
 pub const DEFAULT_JOB: &str = "default";
 
 /// Upper bound on one job's declared shard count (guards a hostile
@@ -65,9 +65,6 @@ pub struct ServeConfig {
     /// excluded from bouncing back to its straggler.  `None` (the
     /// default) disables speculation.
     pub speculate_after: Option<Duration>,
-    /// Test/bench-only fault injection on accepted connections (default
-    /// off: every connection is a plain stream with zero overhead).
-    pub chaos: ChaosConfig,
 }
 
 impl Default for ServeConfig {
@@ -83,7 +80,6 @@ impl Default for ServeConfig {
             chunk_len: proto::CHUNK_LEN,
             once: false,
             speculate_after: None,
-            chaos: ChaosConfig::default(),
         }
     }
 }
@@ -111,26 +107,26 @@ pub struct ServeSummary {
     pub jobs: Vec<JobOutcome>,
 }
 
-/// Where a shard's bytes come from.  File-backed shards (the default job)
-/// are read per *lease*, not held for the whole run; streamed shards hold
-/// the client's bytes until the job completes, then release them.
-enum ShardSource {
-    Path(PathBuf),
-    Bytes(Arc<Vec<u8>>),
-    /// Streamed bytes dropped when their job completed: a complete job is
-    /// never granted again.
-    Released,
-}
-
-/// One shard as the coordinator stores it.
+/// One shard as the coordinator stores it: the bytes registered for it —
+/// read at bind for the default job, streamed by `SHARD_OPEN` otherwise —
+/// which every lease ships unchanged.
 struct ShardMeta {
     name: String,
     text: TextFormat,
-    source: ShardSource,
-    /// Content identity (length + CRC-32), computed once — at bind for
-    /// file-backed shards, at `SHARD_OPEN` for streamed ones.  Drives
-    /// rendezvous placement, LPT ordering and the worker-side cache key.
+    /// `None` once the job completed: a complete job is never granted
+    /// again, so its bytes are dropped.
+    bytes: Option<Arc<Vec<u8>>>,
+    /// Content identity (length + CRC-32), computed once, when the shard
+    /// is registered.  Drives rendezvous placement, LPT ordering and the
+    /// worker-side cache key.
     content: ContentId,
+}
+
+impl ShardMeta {
+    fn new(name: String, text: TextFormat, bytes: Vec<u8>) -> Self {
+        let content = ContentId::of(&bytes);
+        ShardMeta { name, text, bytes: Some(Arc::new(bytes)), content }
+    }
 }
 
 /// An outstanding lease.
@@ -169,8 +165,7 @@ struct Job {
     spec: DetectorSpec,
     /// How many shards the job declared at open; shard ids are `0..declared`.
     declared: u32,
-    /// Shard slots, filled as `SHARD_OPEN` streams arrive (the default job
-    /// is fully filled at bind).
+    /// Shard slots, filled as shards are registered.
     shards: Vec<Option<ShardMeta>>,
     /// Filled shard slots (`== declared` before the job may close).
     streamed: u32,
@@ -225,16 +220,14 @@ impl Job {
         self.aborted.is_some() || (!self.open && self.completed == self.declared)
     }
 
-    /// Stamps the job's end and drops its streamed shard bytes.  Names,
-    /// content ids and results stay: reports, `STALE` acks and the fold
-    /// need nothing else, so a resident coordinator holds no bytes for
+    /// Stamps the job's end and drops its shard bytes.  Names, content
+    /// ids and results stay: reports, `STALE` acks and the fold need
+    /// nothing else, so a resident coordinator holds no bytes for
     /// finished jobs.
     fn finish(&mut self) {
         self.finished = Some(Instant::now());
         for meta in self.shards.iter_mut().flatten() {
-            if let ShardSource::Bytes(_) = meta.source {
-                meta.source = ShardSource::Released;
-            }
+            meta.bytes = None;
         }
     }
 
@@ -395,7 +388,6 @@ struct Shared {
     chunk_len: usize,
     once: bool,
     speculate_after: Option<Duration>,
-    chaos: ChaosConfig,
     local_addr: SocketAddr,
     state: Mutex<Registry>,
     cond: Condvar,
@@ -692,58 +684,51 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Binds the listen socket and, if `paths` is non-empty, pre-registers
+    /// Binds the listen socket and, if `paths` is non-empty, registers
     /// them as the closed [`DEFAULT_JOB`] under `config.spec` — a bare
     /// `engine submit` fetches its report.  With no paths the service
     /// starts empty and lives entirely off wire-opened jobs.
     ///
-    /// Files are read once here — streamed through the CRC, not held — so
-    /// a missing shard fails fast before any worker connects and every
-    /// shard gets its content identity for placement and caching; the
-    /// bytes themselves are (re-)read per lease, outside the registry
-    /// lock, and there is no size cap — shards of any length stream to
+    /// Each file is read once, here, and registered through the same
+    /// open/accept/close path a client's `JOB_OPEN`/`SHARD_OPEN`/`JOB_CLOSE`
+    /// takes, so a missing shard fails before any worker connects and
+    /// every lease ships the bytes read at bind — a file rewritten or
+    /// deleted mid-run changes nothing.  The bytes are held until the job
+    /// completes; there is no size cap — shards of any length stream to
     /// workers as `SHARD_CHUNK` frames.
     ///
     /// # Errors
     ///
-    /// A missing shard file, an invalid detector spec, or a bind failure.
+    /// An unreadable shard file, an invalid detector spec, more shard
+    /// files than one job may declare, or a bind failure.
     pub fn bind(paths: &[PathBuf], config: &ServeConfig) -> Result<Self, String> {
         config.spec.validate()?;
         let listener = TcpListener::bind(&config.bind)
             .map_err(|error| format!("cannot bind {}: {error}", config.bind))?;
         let local_addr =
             listener.local_addr().map_err(|error| format!("cannot resolve bind: {error}"))?;
-        let mut reg = Registry::default();
-        if !paths.is_empty() {
-            let mut job = Job::new(DEFAULT_JOB.to_owned(), config.spec.clone(), paths.len() as u32);
-            for (index, path) in paths.iter().enumerate() {
-                let content = ContentId::of_file(path)
-                    .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
-                job.shards[index] = Some(ShardMeta {
-                    name: path.display().to_string(),
-                    text: config.text.unwrap_or_else(|| TextFormat::from_path(path)),
-                    source: ShardSource::Path(path.clone()),
-                    content,
-                });
-                job.pending.push_back(index);
-            }
-            job.streamed = job.declared;
-            job.open = false;
-            reg.by_name.insert(DEFAULT_JOB.to_owned(), 0);
-            reg.jobs.insert(0, job);
-            reg.next_id = 1;
-        }
         let shared = Arc::new(Shared {
             jobs_hint: config.jobs_hint,
             lease_timeout: config.lease_timeout,
             chunk_len: config.chunk_len.max(1),
             once: config.once,
             speculate_after: config.speculate_after,
-            chaos: config.chaos.clone(),
             local_addr,
-            state: Mutex::new(reg),
+            state: Mutex::new(Registry::default()),
             cond: Condvar::new(),
         });
+        if !paths.is_empty() {
+            let shards = u32::try_from(paths.len()).unwrap_or(u32::MAX);
+            let job = open_job(&shared, DEFAULT_JOB.to_owned(), config.spec.clone(), shards)?;
+            for (shard, path) in paths.iter().enumerate() {
+                let bytes = std::fs::read(path)
+                    .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
+                let text = config.text.unwrap_or_else(|| TextFormat::from_path(path));
+                let meta = ShardMeta::new(path.display().to_string(), text, bytes);
+                accept_shard(&shared, job, shard, meta)?;
+            }
+            close_job(&shared, job)?;
+        }
         Ok(Coordinator { listener, shared })
     }
 
@@ -783,6 +768,11 @@ impl Coordinator {
             let shared = Arc::clone(&self.shared);
             let conn = conn_ids.fetch_add(1, Ordering::Relaxed);
             handles.push(std::thread::spawn(move || handle_connection(&shared, stream, conn)));
+            // A returned thread keeps its stack mapped until its handle is
+            // joined or dropped; dropping finished handles here keeps a
+            // resident service's threads and mappings proportional to its
+            // live connections, not to every connection it ever accepted.
+            handles.retain(|handle| !handle.is_finished());
         }
         for handle in handles {
             let _ = handle.join();
@@ -832,7 +822,7 @@ fn shard_run_from_wire(
     })
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) {
+fn handle_connection(shared: &Shared, mut stream: TcpStream, conn: u64) {
     // Short read timeouts let the handler poll the shutdown flag between
     // messages without ever splitting a frame.  The write timeout is the
     // SHARD_CHUNK backpressure clock: a receiver that stops draining turns
@@ -842,9 +832,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_nodelay(true);
-    // Chaos (when configured — default off) wraps the configured socket;
-    // connection ids start at 1, plans are indexed from 0.
-    let mut stream = shared.chaos.wrap(stream, conn - 1);
 
     // Handshake: HELLO in, WELCOME out.
     let role = loop {
@@ -869,58 +856,25 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) {
     }
 }
 
-/// Loads a granted shard's bytes and builds its `GRANT`.  File-backed
-/// bytes are read here, outside the registry lock, and their content id
-/// is recomputed from the bytes actually read — so a file that changed
-/// since bind still reaches the worker's cache under its true identity.
-/// An unreadable shard is recorded as a failed result — the same "shard
-/// cannot be opened" semantics as the local driver — and `None` tells the
-/// caller to claim again.  So does a shard whose job completed between
-/// the claim and the load (a speculative grant the original holder won).
-fn load_shard(
-    shared: &Shared,
-    conn: u64,
-    job_id: u32,
-    shard: usize,
-) -> Option<(Message, Arc<Vec<u8>>)> {
+/// Builds a granted shard's `GRANT` around the bytes registered for it.
+/// `None` tells the caller to claim again: the shard's job completed
+/// between the claim and the load (a speculative grant the original
+/// holder won), so its bytes are gone.
+fn load_shard(shared: &Shared, job_id: u32, shard: usize) -> Option<(Message, Arc<Vec<u8>>)> {
     let reg = shared.state.lock().expect("coordinator state poisoned");
     let job = reg.jobs.get(&job_id)?;
     let meta = job.shards.get(shard).and_then(Option::as_ref)?;
-    let name = meta.name.clone();
-    let text = meta.text;
-    let spec = job.spec.clone();
-    let loaded = match &meta.source {
-        ShardSource::Bytes(bytes) => Ok((Arc::clone(bytes), meta.content)),
-        ShardSource::Released => return None,
-        ShardSource::Path(path) => {
-            let path = path.clone();
-            drop(reg); // file I/O happens outside the registry lock
-            std::fs::read(&path)
-                .map(|bytes| {
-                    let content = ContentId::of(&bytes);
-                    (Arc::new(bytes), content)
-                })
-                .map_err(|error| DriverError { path, message: error.to_string() })
-        }
+    let bytes = Arc::clone(meta.bytes.as_ref()?);
+    let grant = Message::Grant {
+        job: job_id,
+        shard: shard as u32,
+        name: meta.name.clone(),
+        text: meta.text,
+        spec: job.spec.clone(),
+        chunks: proto::chunk_count(bytes.len() as u64, shared.chunk_len),
+        content: meta.content,
     };
-    match loaded {
-        Ok((bytes, content)) => {
-            let grant = Message::Grant {
-                job: job_id,
-                shard: shard as u32,
-                name,
-                text,
-                spec,
-                chunks: proto::chunk_count(bytes.len() as u64, shared.chunk_len),
-                content,
-            };
-            Some((grant, bytes))
-        }
-        Err(error) => {
-            shared.complete(conn, job_id, shard, Err(error));
-            None
-        }
-    }
+    Some((grant, bytes))
 }
 
 /// Ships one granted shard: `GRANT` out, then the worker's `HAVE` (cache
@@ -931,7 +885,7 @@ fn load_shard(
 /// the connection broke (the caller's post-loop requeue covers the lease).
 fn send_grant(
     shared: &Shared,
-    stream: &mut RwpStream,
+    stream: &mut TcpStream,
     conn: u64,
     job: u32,
     shard: u32,
@@ -980,7 +934,7 @@ fn send_grant(
 /// rejects (a late duplicate: expired lease, slow worker, or the losing
 /// side of a speculative re-lease) gets a non-fatal `STALE` ack.  Returns
 /// `false` when that ack could not be written.
-fn fold_result(shared: &Shared, stream: &mut RwpStream, conn: u64, result: Message) -> bool {
+fn fold_result(shared: &Shared, stream: &mut TcpStream, conn: u64, result: Message) -> bool {
     shared.mark_active(conn);
     let (job, shard, folded) = {
         let reg = shared.state.lock().expect("coordinator state poisoned");
@@ -1013,7 +967,7 @@ const CLAIM_POLL: Duration = Duration::from_millis(5);
 /// the idle heartbeat the shutdown and half-open checks ride on.
 const WORKER_IDLE_POLL: Duration = Duration::from_millis(500);
 
-fn serve_worker(shared: &Shared, mut stream: RwpStream, conn: u64) {
+fn serve_worker(shared: &Shared, mut stream: TcpStream, conn: u64) {
     shared.register_worker(conn);
     // One claim may be outstanding at a time (the worker's transfer
     // thread pipelines lease N+1 while lease N analyzes).  While it
@@ -1026,7 +980,7 @@ fn serve_worker(shared: &Shared, mut stream: RwpStream, conn: u64) {
     'conn: loop {
         if pending_lease {
             match shared.try_claim(conn) {
-                ClaimWait::Granted { job, shard } => match load_shard(shared, conn, job, shard) {
+                ClaimWait::Granted { job, shard } => match load_shard(shared, job, shard) {
                     Some((grant, bytes)) => {
                         pending_lease = false;
                         if fast_poll {
@@ -1039,9 +993,8 @@ fn serve_worker(shared: &Shared, mut stream: RwpStream, conn: u64) {
                         }
                         continue 'conn;
                     }
-                    // The shard failed to load (recorded as a failed
-                    // result) or its job completed meanwhile; claim again
-                    // for this LEASE.
+                    // Its job completed meanwhile; claim again for this
+                    // LEASE.
                     None => continue 'conn,
                 },
                 ClaimWait::Drained => {
@@ -1204,7 +1157,7 @@ fn report_reply(shared: &Shared, job_id: u32) -> Message {
     }
 }
 
-fn serve_client(shared: &Shared, mut stream: RwpStream, _conn: u64) {
+fn serve_client(shared: &Shared, mut stream: TcpStream, _conn: u64) {
     // Jobs this connection opened — only their opener may stream shards
     // into them or close them.
     let mut opened: HashSet<u32> = HashSet::new();
@@ -1236,9 +1189,7 @@ fn serve_client(shared: &Shared, mut stream: RwpStream, _conn: u64) {
                         Ok(bytes) => bytes,
                         Err(_) => break,
                     };
-                let content = ContentId::of(&bytes);
-                let meta =
-                    ShardMeta { name, text, source: ShardSource::Bytes(Arc::new(bytes)), content };
+                let meta = ShardMeta::new(name, text, bytes);
                 if let Err(message) = accept_shard(shared, job, shard as usize, meta) {
                     let _ = proto::write_message(&mut stream, &Message::Error { message });
                     break;
@@ -1333,7 +1284,7 @@ mod tests {
             for meta in &job.shards {
                 let meta = meta.as_ref().expect("the shard's name and content id stay");
                 assert!(
-                    matches!(meta.source, ShardSource::Released),
+                    meta.bytes.is_none(),
                     "a completed job still holds the bytes of {}",
                     meta.name
                 );

@@ -24,13 +24,14 @@
 //! * [`chaos`] — deterministic, seeded fault injection for tests and
 //!   benches: a [`ChaosStream`](chaos::ChaosStream) perturbs the byte
 //!   flow per a replayable [`FaultPlan`] (delays, bit flips, cuts,
-//!   stalls), hooked in via [`ChaosConfig`] — default off, plain streams,
-//!   zero overhead.  The fault semantics and the invariants the chaos
-//!   suite enforces live in `docs/CHAOS.md`.
+//!   stalls), hooked into workers and submit clients via [`ChaosConfig`]
+//!   — default off, plain streams, zero overhead.  The fault semantics
+//!   and the invariants the chaos suite enforces live in `docs/CHAOS.md`.
 //! * [`coordinator`] — `engine serve`: a long-running job registry.  Each
-//!   *named job* carries its own detector spec and shard set (file-backed
-//!   for the pre-registered default job, client-streamed otherwise); the
-//!   coordinator leases shards from every job across one worker fleet
+//!   *named job* carries its own detector spec and shard set, registered
+//!   once as bytes (read at bind for the `serve FILES` default job,
+//!   client-streamed otherwise); the coordinator leases shards from
+//!   every job across one worker fleet
 //!   (shipping the shard *bytes*, so workers need no shared filesystem),
 //!   places shards on workers via a rendezvous-hash ring with
 //!   largest-first (LPT) tie-breaking, requeues shards whose worker

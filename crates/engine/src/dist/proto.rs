@@ -102,13 +102,13 @@ const TAG_STALE: u8 = 18;
 /// (IEEE) of its bytes — the key the v4 scheduling layer addresses shard
 /// *contents* by, independent of job names and shard indices.
 ///
-/// The coordinator computes it once per shard (a streaming read at bind
-/// for file-backed shards, at `SHARD_OPEN` for streamed ones) and ships it
-/// with every `GRANT`; the worker keys its byte cache by it (so a
-/// re-opened job whose bytes changed can never hit a stale entry) and the
-/// coordinator's rendezvous-hash placement scores it against connected
-/// workers.  Not a cryptographic identity — it guards against confusion
-/// and transport damage, not adversaries, exactly like the per-frame CRC.
+/// The coordinator computes it once per shard, when the shard is
+/// registered, and ships it with every `GRANT`; the worker keys its byte
+/// cache by it (so a re-opened job whose bytes changed can never hit a
+/// stale entry) and the coordinator's rendezvous-hash placement scores it
+/// against connected workers.  Not a cryptographic identity — it guards
+/// against confusion and transport damage, not adversaries, exactly like
+/// the per-frame CRC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentId {
     /// The shard's byte length.
@@ -348,7 +348,7 @@ pub enum Message {
     },
     /// Client → coordinator: block until the named job completes, then
     /// answer its `REPORT` or `ERROR` (report-only submit; `engine serve`
-    /// registers its file-backed shards as job `"default"`).
+    /// registers its shard files as job `"default"`).
     Fetch {
         /// The job name to report on.
         name: String,

@@ -681,7 +681,8 @@ pub fn work(addr: &str, config: &WorkConfig) -> Result<WorkSummary, String> {
 #[derive(Debug, Clone)]
 pub struct SubmitConfig {
     /// The job to open (with `paths`) or fetch (without); `None` fetches
-    /// the coordinator's file-backed [`DEFAULT_JOB`].
+    /// the coordinator's [`DEFAULT_JOB`] (the files `engine serve` was
+    /// given).
     pub job: Option<String>,
     /// Shard files to stream into a newly-opened job.  Empty means
     /// "report-only": fetch the named job's report.

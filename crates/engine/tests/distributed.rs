@@ -442,7 +442,7 @@ fn expired_lease_requeues_to_a_live_worker() {
 fn requeued_shard_is_leased_with_identical_bytes() {
     // The regression pinned here: a shard whose lease expired must be
     // re-granted with byte-for-byte the same content the first worker saw
-    // (and the same content as the file), with no re-read surprises.
+    // — the bytes read at bind, even after the file is rewritten.
     let traces = [racy_trace("x", "A:1", "A:2")];
     let paths = write_shards("rebytes", &traces);
     let on_disk = std::fs::read(&paths[0]).expect("shard reads");
@@ -460,6 +460,10 @@ fn requeued_shard_is_leased_with_identical_bytes() {
     // First lease: stall past the timeout without answering.
     let mut first = TcpStream::connect(addr).expect("first client connects");
     let (job_a, shard_a, bytes_a) = lease_one(&mut first);
+    // Rewrite the shard file while its lease is out: the coordinator must
+    // not pick up the new content.
+    format::write_trace_file(&racy_trace("q", "Z:1", "Z:2"), &paths[0]).expect("shard rewrites");
+    assert_ne!(std::fs::read(&paths[0]).expect("shard reads"), on_disk);
     std::thread::sleep(Duration::from_millis(700));
 
     // Second lease after expiry: same shard, identical bytes.
@@ -467,7 +471,7 @@ fn requeued_shard_is_leased_with_identical_bytes() {
     let (job_b, shard_b, bytes_b) = lease_one(&mut second);
     assert_eq!((job_a, shard_a), (job_b, shard_b), "the requeued shard is re-leased");
     assert_eq!(bytes_a, bytes_b, "re-lease shipped different bytes");
-    assert_eq!(bytes_b, on_disk, "leased bytes diverged from the shard file");
+    assert_eq!(bytes_b, on_disk, "leased bytes diverged from the bytes read at bind");
     drop(first);
 
     // Fail the shard so the one-shot service can answer and drain.
