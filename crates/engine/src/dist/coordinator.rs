@@ -163,6 +163,9 @@ impl SchedStats {
 struct Job {
     name: String,
     spec: DetectorSpec,
+    /// The names the spec's detectors report under, in spec order — every
+    /// `OUTCOME` must list exactly these.
+    detectors: Vec<String>,
     /// How many shards the job declared at open; shard ids are `0..declared`.
     declared: u32,
     /// Shard slots, filled as shards are registered.
@@ -193,10 +196,11 @@ struct Job {
 }
 
 impl Job {
-    fn new(name: String, spec: DetectorSpec, declared: u32) -> Self {
+    fn new(name: String, spec: DetectorSpec, detectors: Vec<String>, declared: u32) -> Self {
         Job {
             name,
             spec,
+            detectors,
             declared,
             shards: (0..declared).map(|_| None).collect(),
             streamed: 0,
@@ -788,7 +792,8 @@ impl Coordinator {
 }
 
 /// Turns a worker's `OUTCOME` message into the coordinator-side
-/// [`ShardRun`], validating the run count against the job's spec.
+/// [`ShardRun`], validating the runs' detector names, in order, against
+/// the job's spec: [`fold_runs`] merges runs by position.
 fn shard_run_from_wire(
     job: &Job,
     shard: usize,
@@ -797,13 +802,13 @@ fn shard_run_from_wire(
     runs: Vec<WireRun>,
 ) -> Result<ShardRun, DriverError> {
     let name = job.shard_name(shard);
-    if runs.len() != job.spec.detectors.len() {
+    if !runs.iter().map(|run| &run.outcome.detector).eq(&job.detectors) {
+        let returned: Vec<&str> = runs.iter().map(|run| run.outcome.detector.as_str()).collect();
         return Err(DriverError {
             path: PathBuf::from(&name),
             message: format!(
-                "worker returned {} detector run(s), expected {}",
-                runs.len(),
-                job.spec.detectors.len()
+                "worker returned detector runs {returned:?}, expected {:?}",
+                job.detectors
             ),
         });
     }
@@ -1058,7 +1063,8 @@ fn open_job(shared: &Shared, name: String, spec: DetectorSpec, shards: u32) -> R
     if spec.detectors.is_empty() {
         return Err(format!("job {name} lists no detectors"));
     }
-    spec.validate().map_err(|error| format!("job {name}: {error}"))?;
+    let detectors = spec.build().map_err(|error| format!("job {name}: {error}"))?;
+    let detectors = detectors.iter().map(|detector| detector.name()).collect();
     let mut reg = shared.state.lock().expect("coordinator state poisoned");
     if reg.draining {
         return Err("the coordinator is draining and accepts no new jobs".to_owned());
@@ -1075,7 +1081,7 @@ fn open_job(shared: &Shared, name: String, spec: DetectorSpec, shards: u32) -> R
     let id = reg.next_id;
     reg.next_id += 1;
     reg.by_name.insert(name.clone(), id);
-    reg.jobs.insert(id, Job::new(name, spec, shards));
+    reg.jobs.insert(id, Job::new(name, spec, detectors, shards));
     Ok(id)
 }
 

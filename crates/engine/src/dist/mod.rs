@@ -40,12 +40,12 @@
 //!   outcomes through [`fold_runs`](crate::driver::fold_runs) in input
 //!   order, and answers `REPORT` per job without shutting down.  The
 //!   scheduling model is specified in `docs/PLACEMENT.md`.
-//! * [`worker`] — `engine work` and `engine submit`: a TCP
-//!   [`WorkSource`](crate::driver::WorkSource)/[`ResultSink`](crate::driver::ResultSink)
-//!   pair pumping the same [`drive_queue`](crate::driver::drive_queue)
-//!   loop as the local pool (reconnecting with capped exponential backoff
-//!   when the coordinator drops), with an optional content-addressed
-//!   [`ShardCache`] and a prefetch pipeline that
+//! * [`worker`] — `engine work` and `engine submit`: a [`RemoteQueue`]
+//!   per connection that claims leased shards, analyzes each with the
+//!   same [`analyze_shard`](crate::driver::analyze_shard) as the local
+//!   pool and submits the result (reconnecting with capped exponential
+//!   backoff when the coordinator drops), with an optional
+//!   content-addressed [`ShardCache`] and a prefetch pipeline that
 //!   overlaps the next lease's transfer with the current shard's
 //!   analysis, and the submit client that opens jobs, streams shards,
 //!   and fetches per-job merged reports.
@@ -80,6 +80,6 @@ pub use coordinator::{
 };
 pub use proto::ContentId;
 pub use worker::{
-    shutdown, submit, work, RemoteQueue, ShardCache, SubmitConfig, SubmitReport, WorkConfig,
-    WorkSummary,
+    shutdown, submit, work, QueueStats, RemoteQueue, ShardCache, SubmitConfig, SubmitReport,
+    WorkConfig, WorkItem, WorkSummary,
 };

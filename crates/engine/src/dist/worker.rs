@@ -1,11 +1,12 @@
-//! The worker side of the distributed driver: a TCP [`WorkSource`] /
-//! [`ResultSink`] pair with a bounded content-addressed shard cache
-//! (grants whose bytes are resident answer `HAVE` and skip the pull), a
-//! prefetch pipeline that fetches lease N+1 while lease N analyzes, the
-//! `engine work` loop built on [`drive_queue`]
-//! with capped-exponential reconnect backoff, and the `engine submit`
-//! client that opens named jobs, streams shards as chunks, and fetches
-//! per-job reports.
+//! The worker side of the distributed driver: a TCP [`RemoteQueue`] that
+//! claims leased shards and submits their results, with a bounded
+//! content-addressed shard cache (grants whose bytes are resident answer
+//! `HAVE` and skip the pull); the `engine work` loops, each a plain claim →
+//! [`analyze_shard`] → submit loop, either blocking or behind a prefetch
+//! pipeline that fetches lease N+1 while lease N analyzes, with
+//! capped-exponential reconnect backoff; and the `engine submit` client
+//! that opens named jobs, streams shards as chunks, and fetches per-job
+//! reports.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
@@ -16,11 +17,8 @@ use std::time::{Duration, Instant};
 
 use rapid_trace::format::TextFormat;
 
-use crate::detector::{Detector, DetectorSpec};
-use crate::driver::{
-    drive_queue, DriverConfig, DriverError, QueueStats, ResultSink, ShardInput, ShardRun, WorkItem,
-    WorkSource,
-};
+use crate::detector::DetectorSpec;
+use crate::driver::{analyze_shard, DriverError, ShardInput, ShardRun};
 use crate::engine::DetectorRun;
 use crate::outcome::Metrics;
 
@@ -101,15 +99,54 @@ fn handshake(
     }
 }
 
-/// Packs a `(job, shard)` grant into the single `usize` id the shared
-/// queue loop carries — shard ids are only unique *within* a job.
-fn pack_id(job: u32, shard: u32) -> usize {
-    (((job as u64) << 32) | shard as u64) as usize
+/// One leased shard: its `(job, shard)` address, its name, its bytes, and
+/// the detector set its job runs.
+#[derive(Debug)]
+pub struct WorkItem {
+    /// The job the shard belongs to.
+    pub job: u32,
+    /// The shard's index within its job — shard ids are only unique
+    /// *within* a job.
+    pub shard: u32,
+    /// Display label: the coordinator's shard name.
+    pub label: String,
+    /// The shard's bytes.
+    pub input: ShardInput,
+    /// The job's detector set: every `GRANT` carries it, because different
+    /// jobs run different detector sets over one worker fleet.
+    pub spec: DetectorSpec,
 }
 
-/// Inverse of [`pack_id`].
-fn unpack_id(id: usize) -> (u32, u32) {
-    ((id as u64 >> 32) as u32, id as u32)
+/// What one worker connection processed, for summaries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Shards successfully analyzed.
+    pub shards: usize,
+    /// Events across those shards.
+    pub events: usize,
+}
+
+impl QueueStats {
+    /// Accumulates another connection's stats.
+    pub fn absorb(&mut self, other: QueueStats) {
+        self.shards += other.shards;
+        self.events += other.events;
+    }
+}
+
+/// Analyzes one leased shard with a fresh detector set built from its
+/// job's spec, counting it into `stats` when it succeeds.
+fn analyze(item: WorkItem, stats: &mut QueueStats) -> Result<ShardRun, DriverError> {
+    let result = item
+        .spec
+        .build()
+        .map_err(|message| DriverError { path: PathBuf::from(&item.label), message })
+        .and_then(|detectors| analyze_shard(item.input, &item.label, detectors));
+    if let Ok(run) = &result {
+        stats.shards += 1;
+        stats.events += run.events;
+    }
+    result
 }
 
 /// A bounded worker-side byte cache keyed by shard *content identity* —
@@ -179,11 +216,11 @@ impl ShardCache {
     }
 }
 
-/// The TCP [`WorkSource`]/[`ResultSink`]: `claim` is a `LEASE` round-trip
-/// (a `GRANT`, then `HAVE`/`PULL` decides whether chunks stream), `submit`
-/// an `OUTCOME`/`FAILED` message.  One connection per queue; a
-/// multi-threaded worker opens one queue per thread so lease bookkeeping
-/// stays per-connection.
+/// A worker's connection to the coordinator: [`claim`](Self::claim) is a
+/// `LEASE` round-trip (a `GRANT`, then `HAVE`/`PULL` decides whether chunks
+/// stream), [`submit`](Self::submit) an `OUTCOME`/`FAILED` message.  One
+/// connection per queue; a multi-threaded worker opens one queue per
+/// thread so lease bookkeeping stays per-connection.
 pub struct RemoteQueue {
     addr: String,
     stream: Mutex<RwpStream>,
@@ -271,15 +308,15 @@ impl RemoteQueue {
                     chunks,
                     content,
                 })) => {
-                    let id = pack_id(job, shard);
                     if let Some(cached) = self.cache.as_ref().and_then(|cache| cache.get(content)) {
                         proto::write_message(stream, &Message::Have { job, shard })
                             .map_err(|error| self.transport_error(error.to_string()))?;
                         return Ok(Some(WorkItem {
-                            id,
+                            job,
+                            shard,
                             label: name,
                             input: ShardInput::Bytes { text, bytes: cached },
-                            spec: Some(spec),
+                            spec,
                         }));
                     }
                     proto::write_message(stream, &Message::Pull { job, shard })
@@ -301,10 +338,11 @@ impl RemoteQueue {
                         cache.put(content, Arc::clone(&bytes));
                     }
                     return Ok(Some(WorkItem {
-                        id,
+                        job,
+                        shard,
                         label: name,
                         input: ShardInput::Bytes { text, bytes },
-                        spec: Some(spec),
+                        spec,
                     }));
                 }
                 Ok(Incoming::Message(Message::Done)) => return Ok(None),
@@ -334,10 +372,10 @@ impl RemoteQueue {
     fn submit_on(
         &self,
         stream: &mut RwpStream,
-        id: usize,
+        job: u32,
+        shard: u32,
         result: Result<ShardRun, DriverError>,
     ) -> Result<(), DriverError> {
-        let (job, shard) = unpack_id(id);
         let message = match result {
             Ok(run) => Message::Outcome {
                 job,
@@ -358,67 +396,49 @@ impl RemoteQueue {
         proto::write_message(stream, &message)
             .map_err(|error| self.transport_error(error.to_string()))
     }
-}
 
-impl WorkSource for RemoteQueue {
-    fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
+    /// Claims the next shard; `Ok(None)` means the coordinator said `DONE`
+    /// and the worker should stop.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, rendered against the coordinator's address.
+    pub fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
         let mut stream = self.stream.lock().expect("remote queue poisoned");
         self.claim_on(&mut stream, &mut |_| Ok(()))
     }
-}
 
-impl ResultSink for RemoteQueue {
-    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError> {
+    /// Returns one claimed shard's result (or its analysis error) to the
+    /// coordinator.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, rendered against the coordinator's address.
+    pub fn submit(
+        &self,
+        job: u32,
+        shard: u32,
+        result: Result<ShardRun, DriverError>,
+    ) -> Result<(), DriverError> {
         let mut stream = self.stream.lock().expect("remote queue poisoned");
-        self.submit_on(&mut stream, id, result)
+        self.submit_on(&mut stream, job, shard, result)
     }
 }
 
-/// One `(shard id, result)` pair crossing the pipeline's result channel.
-type PipelineResult = (usize, Result<ShardRun, DriverError>);
-
-/// The analysis-facing half of the prefetch pipeline: `claim` receives
-/// items an I/O thread fetched ahead of time, `submit` hands results back
-/// without ever blocking on the network.  The channels cross a
-/// rendezvous boundary sized zero, so the pump stays exactly one lease
-/// ahead of analysis — enough to overlap transfer with detector compute,
-/// never enough to hoard shards a second worker could run.
-struct PipelinedQueue {
-    addr: String,
-    items: Mutex<mpsc::Receiver<Option<WorkItem>>>,
-    results: Mutex<mpsc::Sender<PipelineResult>>,
-    /// The pump's transport error, recorded *before* it closes the item
-    /// channel so the analysis side wakes to the cause.
-    failure: Mutex<Option<DriverError>>,
-}
-
-impl PipelinedQueue {
-    fn closed_error(&self) -> DriverError {
-        self.failure.lock().expect("pipeline poisoned").take().unwrap_or_else(|| DriverError {
-            path: PathBuf::from(&self.addr),
-            message: "prefetch pipeline closed unexpectedly".to_owned(),
-        })
+/// The blocking worker loop: claim a shard, analyze it, submit the result,
+/// until the coordinator says `DONE`.
+fn drive_blocking(queue: &RemoteQueue) -> Result<QueueStats, DriverError> {
+    let mut stats = QueueStats::default();
+    while let Some(item) = queue.claim()? {
+        let (job, shard) = (item.job, item.shard);
+        queue.submit(job, shard, analyze(item, &mut stats))?;
     }
+    Ok(stats)
 }
 
-impl WorkSource for PipelinedQueue {
-    fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
-        match self.items.lock().expect("pipeline poisoned").recv() {
-            Ok(item) => Ok(item),
-            Err(_) => Err(self.closed_error()),
-        }
-    }
-}
-
-impl ResultSink for PipelinedQueue {
-    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError> {
-        self.results
-            .lock()
-            .expect("pipeline poisoned")
-            .send((id, result))
-            .map_err(|_| self.closed_error())
-    }
-}
+/// One `(job, shard, result)` triple crossing the pipeline's result
+/// channel.
+type PipelineResult = (u32, u32, Result<ShardRun, DriverError>);
 
 /// The I/O half of the prefetch pipeline: claims lease N+1 while the
 /// analysis thread works on lease N, flushing finished results to the
@@ -455,8 +475,8 @@ fn pump_io(
         let item = {
             let mut stream = queue.stream.lock().expect("remote queue poisoned");
             queue.claim_on(&mut stream, &mut |stream| {
-                while let Ok((id, result)) = result_rx.try_recv() {
-                    queue.submit_on(stream, id, result)?;
+                while let Ok((job, shard, result)) = result_rx.try_recv() {
+                    queue.submit_on(stream, job, shard, result)?;
                 }
                 Ok(())
             })?
@@ -472,33 +492,42 @@ fn pump_io(
             // consumed the end marker, so every result it will ever
             // produce is already in the channel.  Flush the tail.
             let mut stream = queue.stream.lock().expect("remote queue poisoned");
-            while let Ok((id, result)) = result_rx.try_recv() {
-                queue.submit_on(&mut stream, id, result)?;
+            while let Ok((job, shard, result)) = result_rx.try_recv() {
+                queue.submit_on(&mut stream, job, shard, result)?;
             }
             return Ok(());
         }
     }
 }
 
-/// Runs [`drive_queue`] behind the prefetch pipeline: an I/O thread owns
-/// `queue`'s connection and keeps one lease in flight ahead of the
-/// analysis running on the calling thread.
-fn drive_pipelined<F>(queue: &RemoteQueue, factory: &F) -> Result<QueueStats, DriverError>
-where
-    F: Fn() -> Vec<Box<dyn Detector>>,
-{
+/// The prefetch worker loop: an I/O thread ([`pump`]) owns `queue`'s
+/// connection and keeps one lease in flight ahead of the analysis running
+/// on the calling thread, which receives each claimed shard, analyzes it,
+/// and sends the result back without ever blocking on the network.  The
+/// item channel is a rendezvous (sized zero), so the pump stays exactly one
+/// lease ahead of analysis — enough to overlap transfer with detector
+/// compute, never enough to hoard shards a second worker could run.
+fn drive_pipelined(queue: &RemoteQueue) -> Result<QueueStats, DriverError> {
     let (item_tx, item_rx) = mpsc::sync_channel(0);
     let (result_tx, result_rx) = mpsc::channel();
-    let pipeline = PipelinedQueue {
-        addr: queue.addr.clone(),
-        items: Mutex::new(item_rx),
-        results: Mutex::new(result_tx),
-        failure: Mutex::new(None),
+    // The pump's transport error, recorded *before* it closes the item
+    // channel so the analysis side wakes to the cause.
+    let failure = Mutex::new(None);
+    let closed = || {
+        failure.lock().expect("pipeline poisoned").take().unwrap_or_else(|| DriverError {
+            path: PathBuf::from(&queue.addr),
+            message: "prefetch pipeline closed unexpectedly".to_owned(),
+        })
     };
     std::thread::scope(|scope| {
-        let failure = &pipeline.failure;
+        let failure = &failure;
         scope.spawn(move || pump(queue, item_tx, result_rx, failure));
-        drive_queue(&pipeline, &pipeline, factory, &DriverConfig::default())
+        let mut stats = QueueStats::default();
+        while let Some(item) = item_rx.recv().map_err(|_| closed())? {
+            let (job, shard) = (item.job, item.shard);
+            result_tx.send((job, shard, analyze(item, &mut stats))).map_err(|_| closed())?;
+        }
+        Ok(stats)
     })
 }
 
@@ -565,9 +594,10 @@ pub struct WorkSummary {
 }
 
 /// One connection-fleet attempt: `jobs` threads, each with its own
-/// connection, pumping the shared queue loop until `DONE` or a transport
-/// failure.  Returns the thread count used, the stats accumulated, and
-/// whether every thread ended cleanly (coordinator said `DONE`).
+/// connection, running the blocking or the prefetch loop until `DONE` or
+/// a transport failure.  Returns the thread count used, the stats
+/// accumulated, and whether every thread ended cleanly (coordinator said
+/// `DONE`).
 fn work_attempt(
     addr: &str,
     config: &WorkConfig,
@@ -600,16 +630,8 @@ fn work_attempt(
                         Some(cache) => queue.with_cache(Arc::clone(cache)),
                         None => queue,
                     };
-                    // Grants carry their job's spec; the factory is only
-                    // the fallback for spec-less items, which a v2
-                    // coordinator never sends.
-                    let factory = || DetectorSpec::default().build().expect("default spec builds");
-                    if config.prefetch {
-                        drive_pipelined(&queue, &factory).map_err(|error| error.to_string())
-                    } else {
-                        drive_queue(&queue, &queue, &factory, &DriverConfig::default())
-                            .map_err(|error| error.to_string())
-                    }
+                    let drive = if config.prefetch { drive_pipelined } else { drive_blocking };
+                    drive(&queue).map_err(|error| error.to_string())
                 };
                 match run() {
                     Ok(stats) => total.lock().expect("stats poisoned").absorb(stats),

@@ -1,5 +1,4 @@
-//! The parallel multi-trace driver: a worker pool over trace shards, with a
-//! pluggable work-queue layer.
+//! The parallel multi-trace driver: a worker pool over trace shards.
 //!
 //! The paper's detectors are linear-time per trace, and since the binary
 //! ingestion layer the cost model is detector-bound — so the remaining
@@ -12,22 +11,16 @@
 //! the per-shard [`DetectorRun`]s into one merged report with per-shard and
 //! aggregate wall-clock.
 //!
-//! # The queue layer
+//! # One worker pool
 //!
-//! Shard acquisition and result return are abstracted behind two small
-//! traits, so the same per-shard analysis loop ([`drive_queue`]) serves
-//! both the in-process pool and the distributed front-end:
-//!
-//! * [`WorkSource`] hands out [`WorkItem`]s — a shard id plus its input,
-//!   which is either a path ([`ShardInput::Path`], the local case) or raw
-//!   bytes shipped from elsewhere ([`ShardInput::Bytes`], the remote case).
-//! * [`ResultSink`] takes each finished [`ShardRun`] (or its error) back.
-//!
-//! The local implementation is the atomic-cursor pair
-//! [`LocalQueue`]/[`SlotSink`]; the TCP implementation lives in
-//! [`dist`](crate::dist), where a coordinator leases shards to remote
-//! workers and folds the returned outcomes through [`fold_runs`] — the
-//! *same* merge path as `jobs = N`, which is what makes distributed and
+//! [`run_shards`] is [`parallel_map`] over [`analyze_shard`]: workers claim
+//! shard paths off one atomic cursor and slot each result by input index.
+//! [`analyze_shard`] reads a [`ShardInput`], which is either a path
+//! ([`ShardInput::Path`], the local case) or raw bytes shipped from
+//! elsewhere ([`ShardInput::Bytes`], the remote case).  The TCP worker in
+//! [`dist`](crate::dist) calls it on every shard a coordinator leases it,
+//! and the coordinator folds the returned outcomes through [`fold_runs`] —
+//! the *same* merge path as `jobs = N`, which is what makes distributed and
 //! local runs bit-identical.
 //!
 //! # Determinism
@@ -73,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use rapid_trace::format::{AnyReader, TextFormat};
 
-use crate::detector::{Detector, DetectorSpec};
+use crate::detector::Detector;
 use crate::engine::{DetectorRun, Engine};
 use crate::outcome::Metrics;
 
@@ -171,8 +164,9 @@ impl std::error::Error for DriverError {}
 /// Runs `work` over every item of `items` on a pool of `jobs` worker
 /// threads, returning results in input order.
 ///
-/// This is the driver's work queue, exposed because other harnesses (the
-/// Table 1 reproduction) fan their own units of work through it: items are
+/// This is the driver's one worker pool: [`run_shards`] maps
+/// [`analyze_shard`] over its shard paths with it, and other harnesses (the
+/// Table 1 reproduction) fan their own units of work through it.  Items are
 /// claimed atomically off a shared cursor, so an expensive item never
 /// blocks the queue behind it, and results are slotted by index — worker
 /// interleaving cannot reorder them.
@@ -211,8 +205,14 @@ where
 #[derive(Debug)]
 pub enum ShardInput {
     /// A trace file on the local filesystem, opened via
-    /// [`AnyReader::open`] (encoding auto-detected by magic bytes).
-    Path(PathBuf),
+    /// [`AnyReader::open`] (binary `.rwf` is auto-detected by magic bytes,
+    /// anything else parses as text in the given flavour).
+    Path {
+        /// Text flavour to assume for non-binary content.
+        text: TextFormat,
+        /// The trace file.
+        path: PathBuf,
+    },
     /// In-memory trace bytes; binary `.rwf` content is auto-detected by
     /// magic, anything else parses as text in the given flavour.  The
     /// bytes are shared (`Arc`) so the distributed worker's content-
@@ -226,139 +226,21 @@ pub enum ShardInput {
     },
 }
 
-/// One claimed unit of work: which shard, what to call it, and its input.
-#[derive(Debug)]
-pub struct WorkItem {
-    /// The shard's index in the coordinator's (or caller's) input order —
-    /// the slot its result folds into.
-    pub id: usize,
-    /// Display label (the path for local shards, the coordinator's shard
-    /// name for remote ones).
-    pub label: String,
-    /// Where the shard's bytes come from.
-    pub input: ShardInput,
-    /// Per-item detector override: a multi-tenant source (the v2
-    /// coordinator) prescribes each shard's spec with the lease, because
-    /// different jobs run different detector sets over one worker fleet.
-    /// `None` uses the worker's own factory (the local pool's case).
-    pub spec: Option<DetectorSpec>,
-}
-
-/// Where workers claim shards from.
-///
-/// The local implementation ([`LocalQueue`]) pops paths off an atomic
-/// cursor and never blocks; the TCP implementation
-/// ([`dist::RemoteQueue`](crate::dist::RemoteQueue)) sends a `LEASE`
-/// request and blocks until the coordinator answers with a shard or `DONE`.
-pub trait WorkSource {
-    /// Claims the next shard to analyze; `Ok(None)` means the queue is
-    /// drained and the worker should stop.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures (remote sources only).
-    fn claim(&self) -> Result<Option<WorkItem>, DriverError>;
-}
-
-/// Where finished shard results go.
-///
-/// The local implementation ([`SlotSink`]) slots results by shard id for
-/// the post-join fold; the TCP implementation sends them back to the
-/// coordinator as `OUTCOME`/`FAILED` messages.
-pub trait ResultSink {
-    /// Returns one shard's finished analysis (or its failure).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures (remote sinks only).
-    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError>;
-}
-
-/// What one [`drive_queue`] worker processed, for summaries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Shards successfully analyzed by this worker.
-    pub shards: usize,
-    /// Events across those shards.
-    pub events: usize,
-}
-
-impl QueueStats {
-    /// Accumulates another worker's stats.
-    pub fn absorb(&mut self, other: QueueStats) {
-        self.shards += other.shards;
-        self.events += other.events;
-    }
-}
-
-/// The worker loop shared by every queue implementation: claim a shard,
-/// analyze it with a fresh engine, submit the result, repeat until the
-/// source drains.
+/// Analyzes one shard with a fresh engine over `detectors`: open (any
+/// encoding), stream, finish against the reader's own name tables.
 ///
 /// # Errors
 ///
-/// Propagates source/sink transport errors (local queues never produce
-/// them).  Per-shard *analysis* errors are not errors of the loop — they
-/// are submitted to the sink, which decides how failures fold.
-pub fn drive_queue<F>(
-    source: &dyn WorkSource,
-    sink: &dyn ResultSink,
-    detectors: &F,
-    config: &DriverConfig,
-) -> Result<QueueStats, DriverError>
-where
-    F: Fn() -> Vec<Box<dyn Detector>>,
-{
-    let mut stats = QueueStats::default();
-    while let Some(item) = source.claim()? {
-        // A leased spec overrides the local factory: the shard runs its
-        // *job's* detector set, not whatever this worker was started with.
-        let result = match &item.spec {
-            Some(spec) => spec
-                .build()
-                .map_err(|message| DriverError { path: PathBuf::from(&item.label), message })
-                .and_then(|set| analyze_shard_with(item.input, &item.label, set, config)),
-            None => analyze_shard(item.input, &item.label, detectors, config),
-        };
-        if let Ok(run) = &result {
-            stats.shards += 1;
-            stats.events += run.events;
-        }
-        sink.submit(item.id, result)?;
-    }
-    Ok(stats)
-}
-
-/// Analyzes one shard with a fresh engine: open (any encoding), stream,
-/// finish against the reader's own name tables.
-pub fn analyze_shard<F>(
-    input: ShardInput,
-    label: &str,
-    detectors: &F,
-    config: &DriverConfig,
-) -> Result<ShardRun, DriverError>
-where
-    F: Fn() -> Vec<Box<dyn Detector>>,
-{
-    analyze_shard_with(input, label, detectors(), config)
-}
-
-/// [`analyze_shard`] with the detector set already built — the entry point
-/// for callers whose detector configuration arrives per shard (a leased
-/// [`WorkItem::spec`]) rather than from a shared factory.
-pub fn analyze_shard_with(
+/// The shard cannot be opened or parsed; the error carries `label`.
+pub fn analyze_shard(
     input: ShardInput,
     label: &str,
     detectors: Vec<Box<dyn Detector>>,
-    config: &DriverConfig,
 ) -> Result<ShardRun, DriverError> {
     let start = Instant::now();
     let fail = |message: String| DriverError { path: PathBuf::from(label), message };
     let mut reader = match input {
-        ShardInput::Path(path) => {
-            let text = config.text.unwrap_or_else(|| TextFormat::from_path(&path));
-            AnyReader::open(&path, text, true)
-        }
+        ShardInput::Path { text, path } => AnyReader::open(&path, text, true),
         ShardInput::Bytes { text, bytes } => {
             // A cache-shared buffer is cloned out of its `Arc` only when
             // another holder remains (the cached entry keeps its copy);
@@ -382,69 +264,6 @@ pub fn analyze_shard_with(
         wall: start.elapsed(),
         runs,
     })
-}
-
-/// The local [`WorkSource`]: shard paths claimed off a shared atomic
-/// cursor, exactly the pre-PR-5 worker-pool behavior.
-pub struct LocalQueue<'a> {
-    paths: &'a [PathBuf],
-    next: AtomicUsize,
-}
-
-impl<'a> LocalQueue<'a> {
-    /// Creates a queue over `paths`.
-    pub fn new(paths: &'a [PathBuf]) -> Self {
-        LocalQueue { paths, next: AtomicUsize::new(0) }
-    }
-}
-
-impl WorkSource for LocalQueue<'_> {
-    fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        Ok(self.paths.get(id).map(|path| WorkItem {
-            id,
-            label: path.display().to_string(),
-            input: ShardInput::Path(path.clone()),
-            spec: None,
-        }))
-    }
-}
-
-/// The local [`ResultSink`]: results slotted by shard id, so worker
-/// interleaving cannot reorder them.
-pub struct SlotSink {
-    slots: Vec<Mutex<Option<Result<ShardRun, DriverError>>>>,
-}
-
-impl SlotSink {
-    /// Creates `len` empty slots.
-    pub fn new(len: usize) -> Self {
-        SlotSink { slots: (0..len).map(|_| Mutex::new(None)).collect() }
-    }
-
-    /// Consumes the sink, returning the slotted results in input order.
-    ///
-    /// # Panics
-    ///
-    /// If a slot was never filled — impossible once every queue worker has
-    /// drained its source and joined.
-    pub fn into_results(self) -> Vec<Result<ShardRun, DriverError>> {
-        self.slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("worker poisoned a result slot")
-                    .expect("every slot is filled once all workers join")
-            })
-            .collect()
-    }
-}
-
-impl ResultSink for SlotSink {
-    fn submit(&self, id: usize, result: Result<ShardRun, DriverError>) -> Result<(), DriverError> {
-        *self.slots[id].lock().expect("worker poisoned a result slot") = Some(result);
-        Ok(())
-    }
 }
 
 /// Folds per-shard runs into per-detector aggregates, in the order given —
@@ -507,7 +326,8 @@ pub fn expand_shard_paths(inputs: &[PathBuf]) -> Result<Vec<PathBuf>, DriverErro
     Ok(out)
 }
 
-/// Analyzes every shard in `paths` on a worker pool and merges the results.
+/// Analyzes every shard in `paths` on a [`parallel_map`] pool and merges
+/// the results.
 ///
 /// `detectors` is called once per shard, on the claiming worker's thread, to
 /// build that shard's fresh detector set — detector state is never shared
@@ -531,23 +351,14 @@ where
 {
     let start = Instant::now();
     let jobs = config.jobs.clamp(1, paths.len().max(1));
-    let queue = LocalQueue::new(paths);
-    let sink = SlotSink::new(paths.len());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                // Local sources and sinks are infallible; the loop can only
-                // end by draining the queue.
-                drive_queue(&queue, &sink, &detectors, config)
-                    .expect("local queue transport cannot fail");
-            });
-        }
+    let results = parallel_map(paths, jobs, |path| {
+        let text = config.text.unwrap_or_else(|| TextFormat::from_path(path));
+        let input = ShardInput::Path { text, path: path.clone() };
+        analyze_shard(input, &path.display().to_string(), detectors())
     });
-
-    let mut shards = Vec::with_capacity(paths.len());
-    for result in sink.into_results() {
-        shards.push(result?);
-    }
+    // `collect` stops at the first `Err` in input order: the earliest
+    // failing shard wins, whichever worker failed first.
+    let shards = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let merged = fold_runs(&shards);
     Ok(MultiReport { jobs, shards, merged, wall: start.elapsed(), scheduling: Metrics::new() })
 }
@@ -677,8 +488,24 @@ mod tests {
         .expect_err("missing shard fails the run");
         assert_eq!(error.path, missing);
         assert!(!error.to_string().is_empty());
+
+        // Two failing shards: a slow one that fails only at its last line,
+        // then a missing file that fails at once.  The earlier one in input
+        // order wins, even when another worker hits its error first.
+        let slow = temp_path("slow-bad.std");
+        let mut slow_text = "t1|w(x)|A:1\n".repeat(40_000);
+        slow_text.push_str("t1|nonsense|A:1\n");
+        std::fs::write(&slow, slow_text).unwrap();
+        let paths = vec![good.clone(), slow.clone(), missing];
+        for jobs in [1, 3] {
+            let error =
+                run_shards(&paths, detectors, &DriverConfig { jobs, ..DriverConfig::default() })
+                    .expect_err("failing shards fail the run");
+            assert_eq!(error.path, slow, "jobs={jobs}");
+        }
         std::fs::remove_file(&good).ok();
         std::fs::remove_file(&bad).ok();
+        std::fs::remove_file(&slow).ok();
     }
 
     #[test]
@@ -726,8 +553,7 @@ mod tests {
                     bytes: Arc::new(bytes),
                 },
                 "remote-shard",
-                &detectors,
-                &DriverConfig::default(),
+                detectors(),
             )
             .expect("bytes analyze");
             assert_eq!(run.source, expected_source);
@@ -744,8 +570,7 @@ mod tests {
                 bytes: Arc::new(b"t1|nonsense|A:1\n".to_vec()),
             },
             "bad-shard",
-            &detectors,
-            &DriverConfig::default(),
+            detectors(),
         )
         .unwrap_err();
         assert_eq!(error.path, PathBuf::from("bad-shard"));

@@ -13,9 +13,7 @@
 //!   [`Metrics`], so results from different traces fold together losslessly;
 //! * a parallel multi-trace [`driver`]: a `std::thread` worker pool that
 //!   analyzes N shard files concurrently (one fresh engine per shard, any
-//!   mix of encodings) and merges the per-shard outcomes into one report —
-//!   with shard acquisition and result return behind a pluggable
-//!   [`WorkSource`]/[`ResultSink`] queue layer;
+//!   mix of encodings) and merges the per-shard outcomes into one report;
 //! * a wire codec for outcomes ([`outcome::wire`], magic `RWO`) and a
 //!   distributed front-end ([`dist`]): a TCP coordinator/worker protocol
 //!   (`engine serve|work|submit`) that leases shards to remote workers,
@@ -72,8 +70,8 @@ pub mod outcome;
 
 pub use detector::{Detector, DetectorSpec};
 pub use driver::{
-    expand_shard_paths, fold_runs, run_shards, DriverConfig, DriverError, MultiReport, ResultSink,
-    ShardInput, ShardRun, WorkItem, WorkSource,
+    expand_shard_paths, fold_runs, run_shards, DriverConfig, DriverError, MultiReport, ShardInput,
+    ShardRun,
 };
 pub use engine::{DetectorRun, Engine};
 pub use outcome::{Aggregation, Metric, Metrics, Outcome, PairStats, RacePair};

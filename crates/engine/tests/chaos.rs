@@ -24,7 +24,7 @@ use rapid_engine::dist::{
     self, ChaosConfig, Coordinator, FaultAction, FaultPlan, RemoteQueue, ServeConfig, SubmitConfig,
     WorkConfig,
 };
-use rapid_engine::driver::{run_shards, DriverConfig, MultiReport, ShardInput, WorkSource};
+use rapid_engine::driver::{run_shards, DriverConfig, MultiReport, ShardInput};
 use rapid_engine::{DetectorSpec, Engine};
 use rapid_trace::format;
 use rapid_trace::{Trace, TraceBuilder};

@@ -694,6 +694,58 @@ fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
 }
 
 #[test]
+fn outcome_listing_other_detectors_fails_its_shard_not_the_coordinator() {
+    // A worker's OUTCOME must list the job's detectors in the job's order:
+    // the fold merges runs by position, so a swapped list would merge one
+    // detector's outcome into another's.  The coordinator must fail that
+    // shard, name the detectors it expected, and keep serving.
+    let traces = [racy_trace("x", "A:1", "A:2"), racy_trace("y", "B:1", "B:2")];
+    let paths = write_shards("swapped", &traces);
+    let jobs1 = local_run(&paths, &spec(), 1);
+
+    let coordinator =
+        Coordinator::bind(&[], &ServeConfig::default()).expect("resident coordinator binds");
+    let addr = coordinator.local_addr();
+    let addr_string = addr.to_string();
+    let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
+    let submit_addr = addr_string.clone();
+    let submit_paths = paths.clone();
+    let submit = std::thread::spawn(move || {
+        let config = SubmitConfig {
+            job: Some("swapped".to_owned()),
+            paths: submit_paths,
+            spec: spec(),
+            ..SubmitConfig::default()
+        };
+        dist::submit(&submit_addr, &config)
+    });
+
+    // One raw worker connection per shard: shard 0 comes back with its
+    // two runs swapped, shard 1 as the local run has it.
+    let workers: Vec<TcpStream> = (0..paths.len())
+        .map(|_| {
+            let mut worker = TcpStream::connect(addr).expect("worker connects");
+            let (job, shard, _) = lease_one(&mut worker);
+            let mut message = outcome_message(&jobs1, job, shard);
+            if let (0, proto::Message::Outcome { runs, .. }) = (shard, &mut message) {
+                runs.swap(0, 1);
+            }
+            proto::write_message(&mut worker, &message).expect("outcome writes");
+            worker
+        })
+        .collect();
+
+    let error = submit.join().expect("submit thread").expect_err("the swapped shard fails");
+    assert!(error.contains(r#"expected ["wcp", "hb"]"#), "{error}");
+    drop(workers);
+    dist::shutdown(&addr_string).expect("the coordinator still answers");
+    let summary = serve.join().expect("serve thread");
+    let job = summary.jobs.iter().find(|job| job.name == "swapped").expect("the job is summarized");
+    assert!(job.result.is_err(), "the failed job must not fold");
+    cleanup(&paths);
+}
+
+#[test]
 fn worker_cache_is_keyed_by_content_not_job_identity() {
     // The cache-keying bugfix pinned end-to-end: a job name is reused for
     // *different* bytes, and the worker's cache must miss (a
