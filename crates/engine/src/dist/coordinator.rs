@@ -632,8 +632,8 @@ impl Shared {
     }
 
     /// Begins a graceful drain: no new jobs, open jobs are aborted (their
-    /// clients get `ERROR` on close), closed jobs run to completion, and
-    /// the service exits once the registry runs dry.
+    /// clients get `ERROR` on their next shard or on close), closed jobs
+    /// run to completion, and the service exits once the registry runs dry.
     fn drain(&self) {
         let mut reg = self.state.lock().expect("coordinator state poisoned");
         reg.draining = true;
@@ -1092,6 +1092,9 @@ fn accept_shard(shared: &Shared, job_id: u32, shard: usize, meta: ShardMeta) -> 
     let Some(job) = reg.jobs.get_mut(&job_id) else {
         return Err(format!("no job with id {job_id}"));
     };
+    if let Some(message) = &job.aborted {
+        return Err(message.clone());
+    }
     if !job.open {
         return Err(format!("job {} is closed", job.name));
     }

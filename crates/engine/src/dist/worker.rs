@@ -209,11 +209,6 @@ impl ShardCache {
             }
         }
     }
-
-    /// Resident bytes, for tests and summaries.
-    pub fn len_bytes(&self) -> usize {
-        self.state.lock().expect("shard cache poisoned").bytes
-    }
 }
 
 /// A worker's connection to the coordinator: [`claim`](Self::claim) is a

@@ -2,13 +2,12 @@
 //! mergeable result algebra, in the `.rwf` house style.
 //!
 //! The [`Outcome`] algebra merges results by interned *names*, which makes
-//! outcomes from different processes foldable — but until this codec they
-//! had no way to *arrive* from another process (the workspace's `serde`
-//! stand-in derives are no-ops and cannot ship bytes).  This module is the
-//! missing wire encoding: the coordinator/worker protocol of
-//! [`dist`](crate::dist) embeds these blobs in its `OUTCOME` and `REPORT`
-//! messages, and the coordinator folds decoded outcomes through the exact
-//! same merge path as a local `jobs = N` run.
+//! outcomes from different processes foldable; this codec is how they
+//! *arrive* from another process (the workspace has no serialization
+//! framework, so the encoding is written by hand).  The coordinator/worker
+//! protocol of [`dist`](crate::dist) embeds these blobs in its `OUTCOME`
+//! and `REPORT` messages, and the coordinator folds decoded outcomes
+//! through the exact same merge path as a local `jobs = N` run.
 //!
 //! # Layout
 //!

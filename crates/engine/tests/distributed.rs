@@ -27,7 +27,7 @@ use rapid_engine::dist::{
 };
 use rapid_engine::driver::{run_shards, DriverConfig, MultiReport};
 use rapid_engine::{DetectorSpec, Engine};
-use rapid_trace::format;
+use rapid_trace::format::{self, TextFormat};
 use rapid_trace::{Trace, TraceBuilder};
 
 use common::with_deadline;
@@ -742,6 +742,105 @@ fn outcome_listing_other_detectors_fails_its_shard_not_the_coordinator() {
     let summary = serve.join().expect("serve thread");
     let job = summary.jobs.iter().find(|job| job.name == "swapped").expect("the job is summarized");
     assert!(job.result.is_err(), "the failed job must not fold");
+    cleanup(&paths);
+}
+
+/// Connects and handshakes in `role`.  The read timeout turns a reply
+/// that never comes into an `expect_message` error instead of a hang.
+fn raw_session(addr: std::net::SocketAddr, role: proto::Role) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("client connects");
+    stream.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+    proto::write_message(&mut stream, &proto::Message::Hello { role }).expect("hello");
+    match proto::expect_message(&mut stream, Duration::from_secs(10)).expect("welcome") {
+        proto::Message::Welcome { .. } => stream,
+        other => panic!("expected WELCOME, got {other:?}"),
+    }
+}
+
+/// Streams `bytes` as shard `shard` of `job`, named `late-<shard>`, in one
+/// chunk.
+fn stream_shard(stream: &mut TcpStream, job: u32, shard: u32, bytes: &[u8]) {
+    let open = proto::Message::ShardOpen {
+        job,
+        shard,
+        name: format!("late-{shard}"),
+        text: TextFormat::Std,
+        chunks: 1,
+    };
+    proto::write_message(stream, &open).expect("shard header writes");
+    proto::write_chunks(stream, job, shard, bytes, bytes.len()).expect("shard chunk writes");
+}
+
+#[test]
+fn a_drained_job_accepts_no_more_shards() {
+    // A drain aborts every open job.  A shard streamed into one afterwards
+    // must be refused with the abort and never queued, or the drain would
+    // lease work of a job it has already failed.
+    let traces = [racy_trace("x", "A:1", "A:2")];
+    let paths = write_shards("drained", &traces);
+    let jobs1 = local_run(&paths, &spec(), 1);
+    let bytes = std::fs::read(&paths[0]).expect("shard reads");
+
+    // Job `held` is the default job, closed at bind; its one shard is
+    // leased to a worker that keeps it, and its report is asked for now.
+    let config = ServeConfig { spec: spec(), ..ServeConfig::default() };
+    let coordinator = Coordinator::bind(&paths, &config).expect("coordinator binds");
+    let addr = coordinator.local_addr();
+    let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
+    let mut holder = TcpStream::connect(addr).expect("holder connects");
+    holder.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+    let (held, held_shard, _) = lease_one(&mut holder);
+    let mut fetch = raw_session(addr, proto::Role::Submit);
+    let name = DEFAULT_JOB.to_owned();
+    proto::write_message(&mut fetch, &proto::Message::Fetch { name }).expect("fetch writes");
+
+    // Job `late` is open, with one of its two shards streamed.
+    let mut late = raw_session(addr, proto::Role::Submit);
+    let open = proto::Message::JobOpen { name: "late".to_owned(), spec: spec(), shards: 2 };
+    proto::write_message(&mut late, &open).expect("job open writes");
+    let job = match proto::expect_message(&mut late, Duration::from_secs(10)).expect("accept") {
+        proto::Message::JobAccept { job } => job,
+        other => panic!("expected JOB_ACCEPT, got {other:?}"),
+    };
+    stream_shard(&mut late, job, 0, &bytes);
+
+    // SHUTDOWN on `late`'s own connection: the coordinator serves one
+    // connection's messages in order, so the drain has run before it
+    // reads the second shard.
+    proto::write_message(&mut late, &proto::Message::Shutdown).expect("shutdown writes");
+    match proto::expect_message(&mut late, Duration::from_secs(10)).expect("shutdown ack") {
+        proto::Message::Done => {}
+        other => panic!("expected DONE, got {other:?}"),
+    }
+    stream_shard(&mut late, job, 1, &bytes);
+    match proto::expect_message(&mut late, Duration::from_secs(5)).expect("the shard is refused") {
+        proto::Message::Error { message } => assert!(message.contains("aborted"), "{message}"),
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+
+    // Nothing of `late` was queued: a fresh worker's lease waits for `held`
+    // to fold and ends in DONE, not a GRANT.
+    let mut fresh = raw_session(addr, proto::Role::Worker);
+    proto::write_message(&mut fresh, &proto::Message::Lease).expect("lease writes");
+    proto::write_message(&mut holder, &outcome_message(&jobs1, held, held_shard))
+        .expect("outcome writes");
+    match proto::expect_message(&mut fresh, Duration::from_secs(10)).expect("a reply") {
+        proto::Message::Done => {}
+        other => panic!("expected DONE, got {other:?}"),
+    }
+    match proto::expect_message(&mut fetch, Duration::from_secs(10)).expect("held's report") {
+        proto::Message::Report { runs, .. } => {
+            let outcomes: Vec<_> = runs.into_iter().map(|run| run.outcome).collect();
+            let local: Vec<_> = jobs1.merged.into_iter().map(|run| run.outcome).collect();
+            assert_eq!(outcomes, local, "held's report diverged from the local run");
+        }
+        other => panic!("expected REPORT, got {other:?}"),
+    }
+
+    drop((holder, fetch, late, fresh));
+    let summary = serve.join().expect("serve thread");
+    let late = summary.jobs.iter().find(|job| job.name == "late").expect("late is summarized");
+    assert!(late.result.as_ref().is_err_and(|error| error.contains("aborted")));
     cleanup(&paths);
 }
 

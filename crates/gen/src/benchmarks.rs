@@ -286,11 +286,6 @@ pub fn benchmark_scaled(name: &str, events: usize) -> Option<BenchmarkModel> {
     spec(name).map(|spec| generate(spec, events))
 }
 
-/// Generates every benchmark at its default scale.
-pub fn all_benchmarks() -> Vec<BenchmarkModel> {
-    SPECS.iter().map(|spec| generate(*spec, spec.default_scaled_events())).collect()
-}
-
 struct ModelBuilder {
     builder: TraceBuilder,
     threads: Vec<ThreadId>,

@@ -2,10 +2,10 @@
 //!
 //! The generators in this crate produce in-memory [`Trace`]s; benchmarks and
 //! fixtures need them on disk — std text for human-auditable cases, the
-//! binary wire format (`.rwf`, see `docs/FORMAT.md`) for the string-free
-//! ingestion path.  These helpers are the one place that decision is made,
-//! so harnesses (perfbench's inputs, the engine's shard tests, the
-//! examples) emit every encoding the same way.
+//! binary wire format (`.rwf` version 2, see `docs/FORMAT.md`) for the
+//! string-free ingestion path.  [`write_trace_file`] is the one place that
+//! decision is made, so harnesses (perfbench's inputs, the engine's shard
+//! tests, the examples) emit every encoding the same way.
 
 use std::io;
 use std::path::Path;
@@ -14,7 +14,9 @@ use rapid_trace::format;
 use rapid_trace::Trace;
 
 /// Writes `trace` to `path`, choosing the encoding by extension: `.rwf` is
-/// the binary wire format, `.csv` is CSV, anything else is std text.
+/// the binary wire format (streamed through one
+/// [`RwfStreamWriter`](format::RwfStreamWriter)), `.csv` is CSV, anything
+/// else is std text.
 ///
 /// # Errors
 ///
@@ -33,13 +35,6 @@ pub fn write_trace_file(trace: &Trace, path: impl AsRef<Path>) -> io::Result<()>
     // The extension→encoding rule lives in `rapid_trace::format` (shared
     // with `engine convert`); this is the generator-facing name for it.
     format::write_trace_file(trace, path)
-}
-
-/// Serializes `trace` into binary wire-format bytes (shorthand re-export of
-/// [`rapid_trace::format::to_rwf_bytes`], so generator call sites need no
-/// extra import).
-pub fn rwf_bytes(trace: &Trace) -> Vec<u8> {
-    format::to_rwf_bytes(trace)
 }
 
 #[cfg(test)]
@@ -66,12 +61,5 @@ mod tests {
             );
             std::fs::remove_file(&path).ok();
         }
-    }
-
-    #[test]
-    fn rwf_bytes_matches_the_format_crate() {
-        let model = benchmarks::benchmark("account").expect("known benchmark");
-        assert_eq!(rwf_bytes(&model.trace), format::to_rwf_bytes(&model.trace));
-        assert!(format::looks_binary(&rwf_bytes(&model.trace)));
     }
 }

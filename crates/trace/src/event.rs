@@ -3,12 +3,11 @@
 use std::fmt;
 
 use rapid_vc::ThreadId;
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{Location, LockId, VarId};
 
 /// The position of an event within its trace (0-based, in trace order `<tr`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(u32);
 
 impl EventId {
@@ -45,7 +44,7 @@ impl fmt::Display for EventId {
 /// The paper's trace alphabet (§2.1) consists of lock acquires/releases and
 /// variable reads/writes; fork/join events are additionally recorded by the
 /// RVPredict logger RAPID consumes (§4) and are modelled here as well.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// `acq(l)`: the thread acquires lock `l`.
     Acquire(LockId),
@@ -143,7 +142,7 @@ impl fmt::Display for EventKind {
 }
 
 /// One event of a trace: an operation performed by a thread at a location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event {
     id: EventId,
     thread: ThreadId,

@@ -2,29 +2,31 @@
 //!
 //! The text formats pay a per-line parse and up to three interner lookups
 //! per event; the wire format removes string handling from the hot path
-//! entirely.  A file is one *header* — magic, version, event count and the
-//! four string tables (threads, locks, variables, locations) — followed by
-//! one fixed-width 13-byte *frame* per event:
+//! entirely.  Every event is one fixed-width 13-byte *frame*:
 //!
 //! ```text
 //! frame := thread u32 LE | op u8 | target u32 LE | loc u32 LE
 //! ```
 //!
 //! so decoding an event is four loads and a bounds check.  All ids are
-//! indices into the header's tables, assigned in order of *first appearance
-//! in the event stream* — the same order the text readers intern in — so a
-//! `.rwf` converted from text yields bit-identical ids (and therefore
-//! identical detector timestamps) to streaming the original text.  The full
-//! normative layout, including endianness and error semantics, is specified
-//! in `docs/FORMAT.md` §3; the golden fixture
-//! `crates/trace/tests/fixtures/figure2b.rwf` pins it byte for byte.
+//! indices into four string tables (threads, locks, variables, locations),
+//! assigned in order of *first appearance in the event stream* — the same
+//! order the text readers intern in — so a `.rwf` converted from text
+//! yields bit-identical ids (and therefore identical detector timestamps)
+//! to streaming the original text.
 //!
-//! Version 2 is the *streamed* container ([`RwfStreamWriter`]): the same
-//! 13-byte frames, but grouped into blocks interleaved with string-table
-//! *deltas*, so a producer can append events as they happen without
-//! materializing the trace (or even knowing the final name tables) first.
-//! [`BinReader`] accepts both versions and yields identical events for
-//! equivalent content — `docs/FORMAT.md` §3.5 is the normative spec.
+//! There is one encoder, [`RwfStreamWriter`], and it writes version 2, the
+//! *streamed* container: a 12-byte header, then blocks of frames
+//! interleaved with string-table *deltas*, closed by an END block carrying
+//! the event count — so a producer can append events as they happen
+//! without materializing the trace (or even knowing the final name tables)
+//! first.  [`to_rwf_bytes`] and [`write_rwf_file`] run it over a [`Trace`].
+//! Version 1, whose header carries the complete tables before one frame
+//! section, is read but no longer written; [`BinReader`] accepts both and
+//! yields identical events for equivalent content.  The full normative
+//! layout, including endianness and error semantics, is `docs/FORMAT.md`
+//! §3; the golden fixtures `crates/trace/tests/fixtures/figure2b.v2.rwf`
+//! and `figure2b.rwf` (v1) pin both versions byte for byte.
 //!
 //! # Examples
 //!
@@ -44,9 +46,10 @@
 //! assert_eq!(format::write_std(&roundtrip), text);
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use rapid_vc::ThreadId;
@@ -64,13 +67,13 @@ use super::{ParseError, ParseErrorKind, StreamNames};
 /// cannot occur at the start of either text format.
 pub const MAGIC: [u8; 4] = *b"RWF\0";
 
-/// The batch wire-format version ([`to_rwf_bytes`] writes it; readers accept
-/// it alongside [`VERSION_STREAM`]).
+/// The batch wire-format version: complete string tables in the header,
+/// then one frame section.  [`BinReader`] reads it; nothing writes it.
 pub const VERSION: u16 = 1;
 
-/// The streamed wire-format version written by [`RwfStreamWriter`]: frames
-/// arrive in blocks interleaved with string-table deltas, terminated by an
-/// END block carrying the authoritative event count.
+/// The streamed wire-format version, the one [`RwfStreamWriter`] writes:
+/// frames arrive in blocks interleaved with string-table deltas,
+/// terminated by an END block carrying the authoritative event count.
 pub const VERSION_STREAM: u16 = 2;
 
 /// The `loc` field value encoding "no location recorded"
@@ -110,166 +113,45 @@ pub fn looks_binary(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
-/// Renumbers one id space in order of first appearance in the event stream.
-struct Renumber {
-    forward: Vec<u32>,
-    names: Vec<String>,
-}
-
-const UNASSIGNED: u32 = u32::MAX;
-
-impl Renumber {
-    fn new(len: usize) -> Self {
-        Renumber { forward: vec![UNASSIGNED; len], names: Vec::new() }
-    }
-
-    /// Maps an old id to its dense first-appearance id, resolving the
-    /// display name through `resolve` the first time it is seen.
-    fn visit(&mut self, old: u32, resolve: impl FnOnce() -> String) -> u32 {
-        let slot = &mut self.forward[old as usize];
-        if *slot == UNASSIGNED {
-            *slot = self.names.len() as u32;
-            self.names.push(resolve());
-        }
-        *slot
-    }
-}
-
-/// Serializes `trace` into wire-format bytes.
+/// Serializes `trace` into wire-format bytes: a [`RwfStreamWriter`] over a
+/// `Vec`, one [`append`](RwfStreamWriter::append) per event.
 ///
-/// Ids are canonicalized to first-appearance order (threads, locks,
-/// variables and locations alike), matching the interning order of the text
-/// readers; names never reached by an event are dropped.  Converting a
-/// parsed text trace and re-reading it therefore reproduces the text
-/// reader's ids, names and events exactly.
+/// Ids come out in first-appearance order (threads, locks, variables and
+/// locations alike), matching the interning order of the text readers;
+/// names never reached by an event are dropped.  Converting a parsed text
+/// trace and re-reading it therefore reproduces the text reader's ids,
+/// names and events exactly.
 pub fn to_rwf_bytes(trace: &Trace) -> Vec<u8> {
-    let mut threads = Renumber::new(trace.num_threads());
-    let mut locks = Renumber::new(trace.num_locks());
-    let mut variables = Renumber::new(trace.num_variables());
-    let mut locations = Renumber::new(trace.num_locations());
-
-    // First pass: assign canonical ids in the order the text readers would
-    // intern them (per event: performing thread, target, location) and
-    // translate every event into its frame fields.
-    let mut frames: Vec<(u32, u8, u32, u32)> = Vec::with_capacity(trace.len());
-    for event in trace.events() {
-        let thread = event.thread();
-        let thread_id = threads.visit(thread.raw(), || {
-            trace.thread_name(thread).map(str::to_owned).unwrap_or_else(|| thread.to_string())
-        });
-        let (op, target) = match event.kind() {
-            EventKind::Acquire(lock) | EventKind::Release(lock) => {
-                let target = locks.visit(lock.raw(), || {
-                    trace.lock_name(lock).map(str::to_owned).unwrap_or_else(|| lock.to_string())
-                });
-                (if event.kind().is_acquire() { OP_ACQUIRE } else { OP_RELEASE }, target)
-            }
-            EventKind::Read(var) | EventKind::Write(var) => {
-                let target = variables.visit(var.raw(), || {
-                    trace.variable_name(var).map(str::to_owned).unwrap_or_else(|| var.to_string())
-                });
-                (if event.kind().is_read() { OP_READ } else { OP_WRITE }, target)
-            }
-            EventKind::Fork(child) | EventKind::Join(child) => {
-                let target = threads.visit(child.raw(), || {
-                    trace.thread_name(child).map(str::to_owned).unwrap_or_else(|| child.to_string())
-                });
-                (if matches!(event.kind(), EventKind::Fork(_)) { OP_FORK } else { OP_JOIN }, target)
-            }
-        };
-        let loc = if event.location().is_unknown() {
-            NO_LOCATION
-        } else {
-            locations.visit(event.location().raw(), || {
-                trace
-                    .location_name(event.location())
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| event.location().to_string())
-            })
-        };
-        frames.push((thread_id, op, target, loc));
-    }
-
-    // Second pass: emit header, tables, frames — all through the shared
-    // wire primitives, so this codec and the outcome codec stay in lockstep.
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    wire::put_u16(&mut out, VERSION);
-    wire::put_u16(&mut out, 0); // reserved
-    wire::put_u32(&mut out, frames.len() as u32);
-    for table in [&threads.names, &locks.names, &variables.names, &locations.names] {
-        wire::put_u32(&mut out, table.len() as u32);
-        for name in table {
-            wire::put_str(&mut out, name);
-        }
-    }
-    for (thread, op, target, loc) in frames {
-        wire::put_u32(&mut out, thread);
-        wire::put_u8(&mut out, op);
-        wire::put_u32(&mut out, target);
-        wire::put_u32(&mut out, loc);
-    }
-    out
+    encode(trace, Vec::new()).expect("writing to a Vec cannot fail")
 }
 
-/// Incremental writer of the wire format over any [`Write`] sink.
-///
-/// The header carries the complete string tables, so the trace must be
-/// materialized before writing — the writer exists for symmetry with
-/// [`BinReader`] and for picking the output sink; the encoding itself is
-/// [`to_rwf_bytes`].
-#[derive(Debug)]
-pub struct BinWriter<W: Write> {
-    out: W,
-}
-
-impl<W: Write> BinWriter<W> {
-    /// Creates a writer over `out`.
-    pub fn new(out: W) -> Self {
-        BinWriter { out }
-    }
-
-    /// Writes `trace` as one complete `.rwf` stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O error.
-    pub fn write_trace(&mut self, trace: &Trace) -> io::Result<()> {
-        self.out.write_all(&to_rwf_bytes(trace))
-    }
-
-    /// Flushes and returns the underlying sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's flush error.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-/// Writes `trace` to `path` in the wire format.
+/// Writes `trace` to `path` in the wire format, one block at a time.
 ///
 /// # Errors
 ///
 /// Propagates file-creation and write errors.
 pub fn write_rwf_file(trace: &Trace, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut writer = BinWriter::new(File::create(path)?);
-    writer.write_trace(trace)?;
-    writer.finish().map(drop)
+    encode(trace, BufWriter::new(File::create(path)?)).map(drop)
 }
 
-/// Streaming encoder of the version-2 `.rwf` container.
+/// Streams every event of `trace` through one [`RwfStreamWriter`] on `sink`.
+fn encode<W: Write>(trace: &Trace, sink: W) -> io::Result<W> {
+    let mut writer = RwfStreamWriter::new(sink)?;
+    for event in trace.events() {
+        writer.append(event, trace)?;
+    }
+    writer.finish()
+}
+
+/// The one `.rwf` encoder: it writes the version-2 container.
 ///
-/// Unlike [`to_rwf_bytes`] / [`BinWriter`], which need the whole trace (the
-/// v1 header carries the complete string tables up front), this writer
-/// appends events as they happen: frames are buffered into fixed-size
-/// blocks, and each block is preceded by NAMES *deltas* carrying only the
-/// names first seen since the previous flush.  Ids are assigned in first-
-/// appearance order — the normative §1.4 order — so a streamed encoding of
-/// a trace decodes to exactly the events, ids and names of its batch v1
-/// encoding, and therefore identical detector timestamps.
+/// The writer appends events as they happen, without the whole trace or
+/// its name tables up front: frames are buffered into fixed-size blocks,
+/// and each block is preceded by NAMES *deltas* carrying only the names
+/// first seen since the previous flush.  Ids are assigned in first-
+/// appearance order — the normative §1.4 order — so an encoding of a
+/// parsed text trace decodes to exactly the events, ids and names the text
+/// reader assigns, and therefore identical detector timestamps.
 ///
 /// Two entry points:
 ///
@@ -301,6 +183,9 @@ pub fn write_rwf_file(trace: &Trace, path: impl AsRef<Path>) -> io::Result<()> {
 pub struct RwfStreamWriter<W: Write> {
     sink: W,
     tables: [Interner; 4],
+    /// Per-table memo of [`append`](Self::append): source id → output id,
+    /// [`UNASSIGNED`] until the id is first seen.
+    memo: [Vec<u32>; 4],
     /// Per-table count of names already emitted in a NAMES delta.
     flushed: [usize; 4],
     /// Encoded frames of the block under construction.
@@ -337,6 +222,7 @@ impl<W: Write> RwfStreamWriter<W> {
         Ok(RwfStreamWriter {
             sink,
             tables: Default::default(),
+            memo: Default::default(),
             flushed: [0; 4],
             frames: Vec::new(),
             pending: 0,
@@ -407,42 +293,33 @@ impl<W: Write> RwfStreamWriter<W> {
     /// Re-encodes an existing event, resolving its ids through `names` — the
     /// transcode path (`Trace` → v2, or any reader's names).  Unknown
     /// locations stay unknown; ids without a recorded name fall back to
-    /// their display form, exactly like [`to_rwf_bytes`].
+    /// their display form.
+    ///
+    /// Each source id is resolved and interned only the first time it
+    /// appears; later events reuse the memoized output id.  So every
+    /// `append` on one writer must pass the same resolver (debug builds
+    /// check that a memoized id still resolves to the same name).
     ///
     /// # Errors
     ///
     /// Propagates the sink's I/O error.
     pub fn append(&mut self, event: &Event, names: &dyn NameResolver) -> io::Result<()> {
-        fn label(name: Option<&str>, id: impl ToString) -> String {
-            name.map(str::to_owned).unwrap_or_else(|| id.to_string())
-        }
-        let thread = label(names.thread_name(event.thread()), event.thread());
-        let location = if event.location().is_unknown() {
-            None
-        } else {
-            Some(names.location_label(event.location()))
+        let (op, table, target) = match event.kind() {
+            EventKind::Acquire(lock) => (OP_ACQUIRE, TABLE_LOCKS, lock.raw()),
+            EventKind::Release(lock) => (OP_RELEASE, TABLE_LOCKS, lock.raw()),
+            EventKind::Read(var) => (OP_READ, TABLE_VARIABLES, var.raw()),
+            EventKind::Write(var) => (OP_WRITE, TABLE_VARIABLES, var.raw()),
+            EventKind::Fork(child) => (OP_FORK, TABLE_THREADS, child.raw()),
+            EventKind::Join(child) => (OP_JOIN, TABLE_THREADS, child.raw()),
         };
-        let location = location.as_deref();
-        match event.kind() {
-            EventKind::Acquire(lock) => {
-                self.acquire(&thread, &label(names.lock_name(lock), lock), location)
-            }
-            EventKind::Release(lock) => {
-                self.release(&thread, &label(names.lock_name(lock), lock), location)
-            }
-            EventKind::Read(var) => {
-                self.read(&thread, &label(names.variable_name(var), var), location)
-            }
-            EventKind::Write(var) => {
-                self.write(&thread, &label(names.variable_name(var), var), location)
-            }
-            EventKind::Fork(child) => {
-                self.fork(&thread, &label(names.thread_name(child), child), location)
-            }
-            EventKind::Join(child) => {
-                self.join(&thread, &label(names.thread_name(child), child), location)
-            }
-        }
+        let thread = self.output_id(TABLE_THREADS, event.thread().raw(), names);
+        let target = self.output_id(table, target, names);
+        let loc = if event.location().is_unknown() {
+            NO_LOCATION
+        } else {
+            self.output_id(TABLE_LOCATIONS, event.location().raw(), names)
+        };
+        self.push_frame(thread, op, target, loc)
     }
 
     /// Number of events appended so far.
@@ -471,7 +348,7 @@ impl<W: Write> RwfStreamWriter<W> {
     }
 
     /// Encodes one frame, interning in the normative per-event order
-    /// (thread, target, location) so ids match the batch encoder's.
+    /// (thread, target, location) so ids match the text readers'.
     fn push(
         &mut self,
         thread: &str,
@@ -480,15 +357,36 @@ impl<W: Write> RwfStreamWriter<W> {
         target: &str,
         location: Option<&str>,
     ) -> io::Result<()> {
-        let thread_id = self.tables[TABLE_THREADS].intern(thread);
-        let target_id = self.tables[table].intern(target);
-        let loc = match location {
-            None => NO_LOCATION,
-            Some(name) => self.tables[TABLE_LOCATIONS].intern(name),
-        };
-        wire::put_u32(&mut self.frames, thread_id);
+        let thread = self.tables[TABLE_THREADS].intern(thread);
+        let target = self.tables[table].intern(target);
+        let loc = location.map_or(NO_LOCATION, |name| self.tables[TABLE_LOCATIONS].intern(name));
+        self.push_frame(thread, op, target, loc)
+    }
+
+    /// The output id of source id `raw` in `table`: memoized, or interned
+    /// under the name `names` gives it on first sight.
+    fn output_id(&mut self, table: usize, raw: u32, names: &dyn NameResolver) -> u32 {
+        let memo = &mut self.memo[table];
+        if memo.len() <= raw as usize {
+            memo.resize(raw as usize + 1, UNASSIGNED);
+        }
+        let slot = &mut memo[raw as usize];
+        if *slot == UNASSIGNED {
+            *slot = self.tables[table].intern(&source_name(names, table, raw));
+        }
+        debug_assert_eq!(
+            self.tables[table].name(*slot),
+            Some(&*source_name(names, table, raw)),
+            "one RwfStreamWriter appended events of two resolvers"
+        );
+        *slot
+    }
+
+    /// Buffers one frame of output ids, flushing a full block.
+    fn push_frame(&mut self, thread: u32, op: u8, target: u32, loc: u32) -> io::Result<()> {
+        wire::put_u32(&mut self.frames, thread);
         wire::put_u8(&mut self.frames, op);
-        wire::put_u32(&mut self.frames, target_id);
+        wire::put_u32(&mut self.frames, target);
         wire::put_u32(&mut self.frames, loc);
         self.pending += 1;
         self.total += 1;
@@ -525,16 +423,21 @@ impl<W: Write> RwfStreamWriter<W> {
     }
 }
 
-/// Serializes `trace` into *streamed* (version-2) wire-format bytes with the
-/// given events-per-block budget — [`to_rwf_bytes`]'s v2 sibling, used by
-/// tests and benchmarks to pin streamed ≡ batch equivalence.
-pub fn to_rwf_stream_bytes(trace: &Trace, block_events: usize) -> Vec<u8> {
-    const VEC: &str = "writing to a Vec cannot fail";
-    let mut writer = RwfStreamWriter::with_block_events(Vec::new(), block_events).expect(VEC);
-    for event in trace.events() {
-        writer.append(event, trace).expect(VEC);
+/// Marks a source id [`RwfStreamWriter::append`] has not seen yet.
+const UNASSIGNED: u32 = u32::MAX;
+
+/// The name `names` gives source id `raw` of `table`, or the id's display
+/// form when it has none.
+fn source_name(names: &dyn NameResolver, table: usize, raw: u32) -> Cow<'_, str> {
+    fn label(name: Option<&str>, id: impl fmt::Display) -> Cow<'_, str> {
+        name.map_or_else(|| Cow::Owned(id.to_string()), Cow::Borrowed)
     }
-    writer.finish().expect(VEC)
+    match table {
+        TABLE_THREADS => label(names.thread_name(ThreadId::new(raw)), ThreadId::new(raw)),
+        TABLE_LOCKS => label(names.lock_name(LockId::new(raw)), LockId::new(raw)),
+        TABLE_VARIABLES => label(names.variable_name(VarId::new(raw)), VarId::new(raw)),
+        _ => label(names.location_name(Location::new(raw)), Location::new(raw)),
+    }
 }
 
 /// A container error at header position 0.
@@ -970,11 +873,29 @@ t2|r(y)|B.java:1
 t1|rel(l)|A.java:4
 ";
 
+    /// Figure 2b in version 1, which nothing writes any more: v1 reads are
+    /// tested on this committed file.
+    const FIGURE2B_V1: &[u8] = include_bytes!("../../tests/fixtures/figure2b.rwf");
+
+    /// `trace` as a v2 container of `block_events`-event blocks.
+    fn in_blocks(trace: &Trace, block_events: usize) -> Vec<u8> {
+        let mut writer = RwfStreamWriter::with_block_events(Vec::new(), block_events).unwrap();
+        for event in trace.events() {
+            writer.append(event, trace).unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    fn version(bytes: &[u8]) -> u16 {
+        u16::from_le_bytes([bytes[4], bytes[5]])
+    }
+
     #[test]
     fn round_trips_text_exactly() {
         let trace = parse_std(SAMPLE).unwrap();
         let bytes = to_rwf_bytes(&trace);
         assert!(looks_binary(&bytes));
+        assert_eq!(version(&bytes), VERSION_STREAM);
         let reader = BinReader::from_bytes(bytes).unwrap();
         assert_eq!(reader.frame_count(), 5);
         let roundtrip = collect_any(reader.into()).unwrap();
@@ -998,15 +919,20 @@ t1|rel(l)|A.java:4
             ParseErrorKind::BadVersion(0xEE)
         ));
 
-        let truncated = good[..good.len() - 1].to_vec();
-        assert_eq!(BinReader::from_bytes(truncated).unwrap_err().kind, ParseErrorKind::Truncated);
+        for good in [good, FIGURE2B_V1.to_vec()] {
+            let truncated = good[..good.len() - 1].to_vec();
+            assert_eq!(
+                BinReader::from_bytes(truncated).unwrap_err().kind,
+                ParseErrorKind::Truncated
+            );
 
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert_eq!(
-            BinReader::from_bytes(trailing).unwrap_err().kind,
-            ParseErrorKind::TrailingBytes
-        );
+            let mut trailing = good.clone();
+            trailing.push(0);
+            assert_eq!(
+                BinReader::from_bytes(trailing).unwrap_err().kind,
+                ParseErrorKind::TrailingBytes
+            );
+        }
 
         assert_eq!(
             BinReader::from_bytes(b"RW".to_vec()).unwrap_err().kind,
@@ -1016,9 +942,11 @@ t1|rel(l)|A.java:4
 
     #[test]
     fn frames_reject_bad_op_codes_and_out_of_range_ids() {
-        let trace = parse_std(SAMPLE).unwrap();
-        let good = to_rwf_bytes(&trace);
-        let first_frame = good.len() - 5 * FRAME_LEN;
+        // A v1 file holds its 8 frames in one section after the 127-byte
+        // header.
+        let good = FIGURE2B_V1.to_vec();
+        assert_eq!(version(&good), VERSION);
+        let first_frame = 127;
 
         let mut bad_op = good.clone();
         bad_op[first_frame + FRAME_LEN + 4] = 9; // second frame's op byte
@@ -1086,6 +1014,7 @@ t1|rel(l)|A.java:4
         let trace = parse_std(SAMPLE).unwrap();
         let path = std::env::temp_dir().join(format!("rapid-rwf-{}.rwf", std::process::id()));
         write_rwf_file(&trace, &path).unwrap();
+        assert_eq!(version(&std::fs::read(&path).unwrap()), VERSION_STREAM);
         let reader = BinReader::open(&path).unwrap();
         assert_eq!(reader.frame_count(), trace.len());
         std::fs::remove_file(&path).ok();
@@ -1095,9 +1024,9 @@ t1|rel(l)|A.java:4
     fn streamed_v2_decodes_to_the_batch_v1_trace() {
         let trace = parse_std(SAMPLE).unwrap();
         // Block size 2 forces multiple EVENTS blocks and NAMES deltas.
-        let bytes = to_rwf_stream_bytes(&trace, 2);
+        let bytes = in_blocks(&trace, 2);
         assert!(looks_binary(&bytes));
-        assert_eq!(bytes[4], VERSION_STREAM as u8);
+        assert_eq!(version(&bytes), VERSION_STREAM);
         let reader = BinReader::from_bytes(bytes).unwrap();
         assert_eq!(reader.frame_count(), 5);
         let roundtrip = collect_any(reader.into()).unwrap();
@@ -1136,7 +1065,7 @@ t1|rel(l)|A.java:4
     #[test]
     fn v2_containers_reject_structural_damage_with_typed_errors() {
         let trace = parse_std(SAMPLE).unwrap();
-        let good = to_rwf_stream_bytes(&trace, 2);
+        let good = in_blocks(&trace, 2);
 
         // A writer that died before `finish` left no END block: Truncated.
         let unfinished = good[..good.len() - 9].to_vec();

@@ -69,8 +69,8 @@ pub mod bytes;
 pub mod wire;
 
 pub use binary::{
-    looks_binary, to_rwf_bytes, to_rwf_stream_bytes, write_rwf_file, BinReader, BinWriter,
-    RwfStreamWriter, FRAME_LEN, MAGIC, NO_LOCATION, VERSION, VERSION_STREAM,
+    looks_binary, to_rwf_bytes, write_rwf_file, BinReader, RwfStreamWriter, FRAME_LEN, MAGIC,
+    NO_LOCATION, VERSION, VERSION_STREAM,
 };
 pub use bytes::parse_std_bytes;
 
@@ -862,7 +862,7 @@ main|fork(t1)|Main.java:1
         {
             let dir = std::env::temp_dir();
             let text = "t1|w(x)|A:1\nt2|r(x)|B:2\n";
-            let rwf = to_rwf_stream_bytes(&parse_std(text).unwrap(), 1);
+            let rwf = to_rwf_bytes(&parse_std(text).unwrap());
             let expected: Vec<Event> =
                 BinReader::from_bytes(rwf.clone()).unwrap().collect::<Result<_, _>>().unwrap();
             for (mode, contents) in [("text", text.as_bytes().to_vec()), ("binary", rwf)] {

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! dense_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(u32);
 

@@ -8,14 +8,13 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use rapid_vc::{ThreadId, VectorClock};
-use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, EventId};
 use crate::ids::{Location, VarId};
 use crate::trace::Trace;
 
 /// Which analysis flagged a race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RaceKind {
     /// Unordered by happens-before.
     Hb,
@@ -43,7 +42,7 @@ impl fmt::Display for RaceKind {
 ///
 /// `first` is the earlier event in trace order, `second` the later one (the
 /// event at which the streaming detectors raise the warning, §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Race {
     /// The earlier conflicting event.
     pub first: EventId,
@@ -89,7 +88,7 @@ impl fmt::Display for Race {
 }
 
 /// The collection of races reported by one analysis run over one trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RaceReport {
     races: Vec<Race>,
 }

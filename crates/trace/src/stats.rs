@@ -3,8 +3,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventKind;
 use crate::trace::Trace;
 
@@ -13,7 +11,7 @@ use crate::trace::Trace;
 /// These are the per-benchmark characteristics reported in columns 3–5 of
 /// the paper's Table 1 (#events, #threads, #locks), plus a few extra counts
 /// that are useful when sizing generated workloads.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Total number of events.
     pub events: usize,

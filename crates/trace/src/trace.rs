@@ -4,7 +4,6 @@ use std::fmt;
 use std::ops::Index;
 
 use rapid_vc::ThreadId;
-use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, EventId};
 use crate::ids::{Location, LockId, VarId};
@@ -17,7 +16,7 @@ use crate::validate::{self, TraceError};
 /// performed before event `j` iff `i < j`.  Use [`TraceBuilder`](crate::TraceBuilder)
 /// to construct traces and [`Trace::validate`] to check lock semantics and
 /// well-nestedness.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     pub(crate) events: Vec<Event>,
     pub(crate) thread_names: Vec<String>,

@@ -5,8 +5,9 @@
 //! file read from disk decodes exactly as its bytes do in memory, and no
 //! mutation of any encoding makes a decoder panic.
 //!
-//! Together with the golden fixture `tests/fixtures/figure2b.rwf`, these
-//! back the encoding claims of `docs/FORMAT.md` §3.
+//! Together with the golden fixtures `tests/fixtures/figure2b.v2.rwf` and
+//! `figure2b.rwf` (version 1, read but no longer written), these back the
+//! encoding claims of `docs/FORMAT.md` §3.
 
 use std::fs::OpenOptions;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,9 +16,23 @@ use proptest::prelude::*;
 use rapid_gen::random::RandomTraceConfig;
 use rapid_gen::{benchmarks, figures};
 use rapid_trace::format::{
-    self, AnyReader, BinReader, ParseError, ParseErrorKind, StreamReader, TextFormat,
+    self, AnyReader, BinReader, ParseError, ParseErrorKind, RwfStreamWriter, StreamReader,
+    TextFormat,
 };
-use rapid_trace::Event;
+use rapid_trace::{Event, Trace};
+
+/// Figure 2b in version 1, which nothing writes any more: v1 reads are
+/// tested on this committed file.
+const FIGURE2B_V1: &[u8] = include_bytes!("fixtures/figure2b.rwf");
+
+/// `trace` as a v2 container of `block_events`-event blocks.
+fn in_blocks(trace: &Trace, block_events: usize) -> Vec<u8> {
+    let mut writer = RwfStreamWriter::with_block_events(Vec::new(), block_events).unwrap();
+    for event in trace.events() {
+        writer.append(event, trace).unwrap();
+    }
+    writer.finish().unwrap()
+}
 
 /// Random valid traces of varying shape (threads × locks × variables ×
 /// length), deterministic per seed.
@@ -129,13 +144,14 @@ fn rwf_files_decode_like_their_bytes_across_chunk_boundaries() {
     // plus a partial one.
     let trace = benchmarks::benchmark_scaled("moldyn", 2 * 4096 + 123).expect("moldyn").trace;
     assert_eq!(trace.len(), 2 * 4096 + 122);
-    // Each encoding with the first frame that must be re-read from disk
+    // Each block size with the first frame that must be re-read from disk
     // after 5,000 frames: runs never cross a block, so 1000-frame blocks
-    // refill at frame 5,001 and the others at 8,193.
+    // refill at frame 5,001 and the others at 8,193.  One 10,000-event
+    // block holds the whole trace, so a run ends inside it.
     let encodings = [
-        ("v1", format::to_rwf_bytes(&trace), 8193),
-        ("v2-4096", format::to_rwf_stream_bytes(&trace, 4096), 8193),
-        ("v2-1000", format::to_rwf_stream_bytes(&trace, 1000), 5001),
+        ("v2-10000", in_blocks(&trace, 10_000), 8193),
+        ("v2-4096", in_blocks(&trace, 4096), 8193),
+        ("v2-1000", in_blocks(&trace, 1000), 5001),
     ];
     for (name, bytes, next_refill) in encodings {
         let path =
@@ -236,8 +252,8 @@ fn decoders_never_panic_on_mutated_input() {
     let encodings = [
         ("std", TextFormat::Std, format::write_std(&trace).into_bytes()),
         ("csv", TextFormat::Csv, format::write_csv(&trace).into_bytes()),
-        ("rwf-v1", TextFormat::Std, format::to_rwf_bytes(&trace)),
-        ("rwf-v2", TextFormat::Std, format::to_rwf_stream_bytes(&trace, 2)),
+        ("rwf-v1", TextFormat::Std, FIGURE2B_V1.to_vec()),
+        ("rwf-v2", TextFormat::Std, in_blocks(&trace, 2)),
     ];
     let mut rng = SplitMix(0x5EED);
     for (name, text, original) in encodings {

@@ -1,9 +1,11 @@
 //! Golden-file tests of the std and CSV trace formats.
 //!
 //! The fixtures under `tests/fixtures/` pin down the on-disk formats:
-//! `figure2b.{std,csv,rwf}` are the canonical serializations of the paper's
-//! Figure 2b trace (round-trip: format → parse → format must reproduce them
-//! byte-for-byte, including the binary wire format of `docs/FORMAT.md` §3),
+//! `figure2b.{std,csv,v2.rwf}` are the canonical serializations of the
+//! paper's Figure 2b trace (round-trip: format → parse → format must
+//! reproduce them byte-for-byte, including the binary wire format of
+//! `docs/FORMAT.md` §3), `figure2b.rwf` is the same trace in the version-1
+//! wire format, which is still read but no longer written,
 //! `optional_location.std` exercises the documented optional-location form
 //! in every shape, and the `bad_*` fixtures assert that [`ParseError`]
 //! reports the right kind *and line number*.
@@ -14,6 +16,7 @@ use rapid_trace::EventKind;
 const FIGURE2B_STD: &str = include_str!("fixtures/figure2b.std");
 const FIGURE2B_CSV: &str = include_str!("fixtures/figure2b.csv");
 const FIGURE2B_RWF: &[u8] = include_bytes!("fixtures/figure2b.rwf");
+const FIGURE2B_V2_RWF: &[u8] = include_bytes!("fixtures/figure2b.v2.rwf");
 const OPTIONAL_LOCATION: &str = include_str!("fixtures/optional_location.std");
 const BAD_MISSING_FIELD: &str = include_str!("fixtures/bad_missing_field.std");
 const BAD_UNKNOWN_OP: &str = include_str!("fixtures/bad_unknown_op.std");
@@ -36,16 +39,19 @@ fn figure2b_csv_round_trips_byte_for_byte() {
 
 #[test]
 fn figure2b_rwf_round_trips_byte_for_byte() {
-    // std text -> .rwf reproduces the golden binary fixture exactly...
+    // std text -> .rwf reproduces the golden v2 fixture exactly...
     let trace = format::parse_std(FIGURE2B_STD).expect("golden fixture parses");
-    assert_eq!(format::to_rwf_bytes(&trace), FIGURE2B_RWF);
+    assert_eq!(format::to_rwf_bytes(&trace), FIGURE2B_V2_RWF);
 
-    // ...and .rwf -> std text reproduces the golden text fixture exactly.
-    let reader = BinReader::from_bytes(FIGURE2B_RWF.to_vec()).expect("golden header is sound");
-    assert_eq!(reader.frame_count(), 8);
-    let decoded = format::collect_any(reader.into()).expect("golden fixture decodes");
-    assert_eq!(format::write_std(&decoded), FIGURE2B_STD);
-    assert_eq!(decoded.events(), trace.events(), "ids are canonical on both sides");
+    // ...and .rwf -> std text reproduces the golden text exactly, from the
+    // v2 fixture and from the v1 one, which readers must still accept.
+    for rwf in [FIGURE2B_V2_RWF, FIGURE2B_RWF] {
+        let reader = BinReader::from_bytes(rwf.to_vec()).expect("golden header is sound");
+        assert_eq!(reader.frame_count(), 8);
+        let decoded = format::collect_any(reader.into()).expect("golden fixture decodes");
+        assert_eq!(format::write_std(&decoded), FIGURE2B_STD);
+        assert_eq!(decoded.events(), trace.events(), "ids are canonical on both sides");
+    }
 }
 
 #[test]
@@ -59,6 +65,17 @@ fn figure2b_rwf_header_fields_match_the_spec() {
     assert_eq!(u32::from_le_bytes(FIGURE2B_RWF[8..12].try_into().unwrap()), 8);
     // 8 frames of 13 bytes close the 127-byte header (no trailing bytes).
     assert_eq!(FIGURE2B_RWF.len(), 127 + 8 * format::FRAME_LEN);
+
+    // §3.5: what encoders write is version 2, with header count 0; the
+    // closing END block is tag 2 with the u64 event total.
+    let v2 = FIGURE2B_V2_RWF;
+    assert_eq!(&v2[0..4], b"RWF\0");
+    assert_eq!(u16::from_le_bytes(v2[4..6].try_into().unwrap()), format::VERSION_STREAM);
+    assert_eq!(u16::from_le_bytes(v2[6..8].try_into().unwrap()), 0);
+    assert_eq!(u32::from_le_bytes(v2[8..12].try_into().unwrap()), 0);
+    let end = &v2[v2.len() - 9..];
+    assert_eq!(end[0], 2, "END block tag");
+    assert_eq!(u64::from_le_bytes(end[1..].try_into().unwrap()), 8);
 }
 
 #[test]

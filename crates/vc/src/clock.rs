@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ThreadId;
 
 /// Result of comparing two vector clocks under the pointwise partial order.
@@ -39,7 +37,7 @@ pub enum ClockOrdering {
 /// assert_eq!(c.get(ThreadId::new(2)), 9);
 /// assert_eq!(c.get(ThreadId::new(5)), 0); // implicit zero
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     components: Vec<u64>,
 }
@@ -197,11 +195,6 @@ impl VectorClock {
     /// Returns the dense component slice (index `i` is thread `i`).
     pub fn as_slice(&self) -> &[u64] {
         &self.components
-    }
-
-    /// Approximate heap footprint in bytes (used for memory telemetry).
-    pub fn heap_bytes(&self) -> usize {
-        self.components.capacity() * std::mem::size_of::<u64>()
     }
 }
 

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ThreadId, VectorClock};
 
 /// An *epoch* `c@t`: the scalar clock `c` of a single thread `t`.
@@ -24,7 +22,7 @@ use crate::{ThreadId, VectorClock};
 /// now.set(t1, 5);
 /// assert!(epoch.happens_before(&now));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Epoch {
     thread: ThreadId,
     clock: u64,

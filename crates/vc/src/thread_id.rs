@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, zero-based thread identifier.
 ///
 /// Vector clocks are indexed by `ThreadId`, so identifiers are expected to be
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.index(), 3);
 /// assert_eq!(t.to_string(), "T3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(u32);
 
 impl ThreadId {
