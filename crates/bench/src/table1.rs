@@ -135,7 +135,7 @@ impl Table1Report {
 ///
 /// `max_events` caps the generated trace size (the paper's traces go up to
 /// 216 M events; the default harness scales each benchmark down to at most
-/// 50 K events — see `EXPERIMENTS.md`).
+/// 50 K events, [`BenchmarkSpec::default_scaled_events`]).
 pub fn table1_row(name: &str, max_events: usize) -> Option<Table1Row> {
     let spec = benchmarks::spec(name)?;
     let events = spec.default_scaled_events().min(max_events);

@@ -19,7 +19,7 @@ mod common;
 
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use rapid_engine::dist::{
@@ -104,6 +104,13 @@ fn only_job(summary: ServeSummary) -> Result<MultiReport, String> {
 /// `workers` real worker loops against it plus `faults` (a hook that may
 /// talk to the coordinator first), fetches the submit report, and returns
 /// (serve-side fold, submit-side report).
+///
+/// The one-shot coordinator drains as soon as it has answered the report.
+/// A worker that connects only after one of its peers finished every shard
+/// and the report went out finds the service gone ("connection refused" or
+/// "reset by peer").  Such a worker processed no shard (`dist::work` fails
+/// only then) and is accepted, as long as its error came after the report
+/// reached `submit` and at least one worker finished cleanly.
 fn drive_cluster(
     paths: &[PathBuf],
     workers: usize,
@@ -117,13 +124,27 @@ fn drive_cluster(
 
     faults(addr);
 
-    let addr_string = addr.to_string();
-    let worker_handles = spawn_workers(&addr_string, workers);
-    let submit = dist::submit(&addr_string, &SubmitConfig::default())
+    let worker_handles: Vec<_> = (0..workers)
+        .map(|_| {
+            let addr = addr.to_string();
+            let config = WorkConfig { jobs: Some(1), ..WorkConfig::default() };
+            std::thread::spawn(move || (dist::work(&addr, &config), Instant::now()))
+        })
+        .collect();
+    let submit = dist::submit(&addr.to_string(), &SubmitConfig::default())
         .expect("submit returns the merged report");
+    let reported_at = Instant::now();
+    let mut finished = 0;
     for handle in worker_handles {
-        handle.join().expect("worker thread");
+        match handle.join().expect("worker thread") {
+            (Ok(_), _) => finished += 1,
+            (Err(error), failed_at) => assert!(
+                failed_at >= reported_at,
+                "a worker failed before the report was answered: {error}"
+            ),
+        }
     }
+    assert!(finished >= 1, "no worker finished cleanly");
     let summary = serve.join().expect("serve thread");
     let report = only_job(summary).expect("default job folds");
     (report, submit)

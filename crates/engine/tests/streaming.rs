@@ -3,7 +3,9 @@
 //! These lock the streaming path against the batch baselines recorded in
 //! PR 1 (CHANGES.md): Figure 2b (WCP 1 race / HB 0) and a Table 1 benchmark
 //! model reproduce their race counts through the file-streaming pipeline,
-//! and streaming WCP state stays bounded on a 500K-event stream.
+//! four Table 1 models keep their exact WCP counters at 200K events, and
+//! streaming WCP state stays bounded on a 625K-event one-lock stream and on
+//! a 64-lock, 6-thread rotation.
 
 use std::fs::File;
 use std::io::{BufReader, Write as _};
@@ -17,7 +19,7 @@ use rapid_mcm::{McmConfig, McmDetector, McmStream};
 use rapid_trace::format::{self, StreamReader};
 use rapid_trace::{Location, PairKey, Race, RaceSink, Trace};
 use rapid_vc::ThreadId;
-use rapid_wcp::WcpStream;
+use rapid_wcp::{WcpStats, WcpStream};
 
 /// Writes `trace` to a temp file in std format and returns its path.
 fn write_temp_trace(name: &str, trace: &Trace) -> std::path::PathBuf {
@@ -96,6 +98,51 @@ fn table1_benchmark_streams_with_the_baseline_counts() {
         batch_outcome.races,
         "MCM stream/batch divergence (race pairs, events or distances)"
     );
+}
+
+#[test]
+fn table1_models_pin_the_wcp_counters_at_200k_events() {
+    // Every `WcpStats` field except the two pool counters, and HB's race
+    // events, on four Table 1 models at 200K events in discovery mode (the
+    // mode `run_shards` uses).  The Rule (b) walk and the Rule (a) summaries
+    // are exact, so none of these figures may move; eclipse's deep queues
+    // (17,106 entries at peak) exercise the walk the most.
+    let pinned = [
+        // model, (events, threads, locks, race events, enqueues, max queue,
+        // joins, fast reads, fast writes), HB race events
+        ("moldyn", (199_996, 3, 2, 44, 24_232, 8, 296_912, 77_236, 37_860), 44),
+        ("eclipse", (200_004, 14, 95, 66, 290_808, 17_106, 422_321, 77_218, 37_852), 64),
+        ("xalan", (199_999, 6, 222, 18, 96_992, 6_222, 330_002, 77_253, 37_868), 15),
+        ("lusearch", (200_001, 7, 118, 160, 121_020, 4_720, 342_865, 79_167, 39_834), 160),
+    ];
+    for (name, counters, hb) in pinned {
+        let (events, threads, locks, race_events, enqueues, max_queue, joins, reads, writes) =
+            counters;
+        let model = benchmarks::benchmark_scaled(name, 200_000).expect("model exists");
+        let mut wcp = WcpStream::new();
+        let mut hb_stream = HbStream::new();
+        let mut hb_race_events = 0;
+        for event in model.trace.events() {
+            wcp.on_event(event);
+            hb_race_events += hb_stream.on_event(event).len();
+        }
+        let stats = wcp.finish();
+        let expected = WcpStats {
+            events,
+            threads,
+            locks,
+            race_events,
+            queue_enqueues: enqueues,
+            max_queue_entries: max_queue,
+            clock_joins: joins,
+            epoch_fast_reads: reads,
+            epoch_fast_writes: writes,
+            pool_taken: stats.pool_taken,
+            pool_recycled: stats.pool_recycled,
+        };
+        assert_eq!(stats, expected, "{name}: WCP counters");
+        assert_eq!(hb_race_events, hb, "{name}: HB race events");
+    }
 }
 
 #[test]
@@ -237,12 +284,16 @@ struct SyntheticRun {
     sinks: Vec<SinkState>,
 }
 
-/// Drives `sections` rotating critical sections (plus one far race) through
-/// WCP, HB and FastTrack streams, synthesizing each [`Event`] on the fly — no
-/// trace, builder or buffer ever holds the stream.  Every section is preceded
-/// by an unsynchronized write to a shared variable, so race events grow with
-/// the stream while the racing location pairs stay a fixed set.
-fn run_synthetic_stream(sections: usize) -> SyntheticRun {
+/// Drives `sections` critical sections (plus one far race) through WCP, HB
+/// and FastTrack streams, synthesizing each [`Event`] on the fly — no trace,
+/// builder or buffer ever holds the stream.  Section `i` runs on thread
+/// `threads[i % threads.len()]`; each lock serves one round of all
+/// `threads` before the next of `locks` locks takes over, so every thread
+/// uses every lock, and a section reads and writes its lock's own counter.
+/// Every section is preceded by an unsynchronized write to a shared
+/// variable, so race events grow with the stream while the racing location
+/// pairs stay a fixed set.
+fn run_synthetic_stream(sections: usize, threads: &[u32], locks: u32) -> SyntheticRun {
     use rapid_trace::{Event, EventId, EventKind, LockId, VarId};
 
     struct Probe {
@@ -282,10 +333,8 @@ fn run_synthetic_stream(sections: usize) -> SyntheticRun {
         }
     }
 
-    let lock = LockId::new(0);
-    let counter = VarId::new(0);
-    let racy = VarId::new(1);
-    let shared = VarId::new(2);
+    let racy = VarId::new(0);
+    let shared = VarId::new(1);
     let mut probe = Probe {
         wcp: WcpStream::new(),
         hb: HbStream::new(),
@@ -301,9 +350,12 @@ fn run_synthetic_stream(sections: usize) -> SyntheticRun {
     // The reader (thread 1) stays out of the lock rotation — joining it
     // would WCP-order the pair through Rule (b) — so it is also *discovered*
     // only at the very end of the stream.
+    assert!(!threads.contains(&1), "thread 1 is the far reader");
     probe.feed(0, EventKind::Write(racy));
     for index in 0..sections {
-        let thread = [0u32, 2, 3][index % 3];
+        let thread = threads[index % threads.len()];
+        let lock = (index / threads.len()) as u32 % locks;
+        let (lock, counter) = (LockId::new(lock), VarId::new(2 + lock));
         // Unordered with the other rotating threads' last writes: a thread
         // acquires only after this write, so nothing orders it.
         probe.feed(thread, EventKind::Write(shared));
@@ -336,8 +388,8 @@ fn streaming_wcp_state_is_independent_of_trace_length() {
     // ~625K events (125K critical sections × 5 events) vs a 50× shorter
     // stream: the peak live Rule (b) state and every detector's retained
     // race state must not grow with the stream, while race events do.
-    let short = run_synthetic_stream(2_500);
-    let long = run_synthetic_stream(125_000);
+    let short = run_synthetic_stream(2_500, &[0, 2, 3], 1);
+    let long = run_synthetic_stream(125_000, &[0, 2, 3], 1);
 
     assert!(long.far_race_found, "the far race is found across 625K events");
     assert!(
@@ -365,4 +417,32 @@ fn streaming_wcp_state_is_independent_of_trace_length() {
             short.race_events
         );
     }
+}
+
+#[test]
+fn streaming_wcp_queues_stay_bounded_over_many_locks_and_threads() {
+    // 64 locks rotating over 6 threads, every thread using every lock: a
+    // thread passes a lock's queue entries only when it next releases that
+    // lock, 64 rounds later, so every lock retains sections at once.  The
+    // peak live Rule (b) state must still not grow between a stream of two
+    // full rotations and one 50× longer (~192K events).
+    let threads = [0, 2, 3, 4, 5, 6];
+    let rotation = 64 * threads.len();
+    let short = run_synthetic_stream(2 * rotation, &threads, 64);
+    let long = run_synthetic_stream(100 * rotation, &threads, 64);
+
+    assert!(long.far_race_found, "the far race is found across the long stream");
+    assert!(short.peak_sections >= 64, "every lock retains sections: {}", short.peak_sections);
+    assert!(
+        long.peak_sections <= short.peak_sections,
+        "retained sections grew with the stream: {} vs {}",
+        long.peak_sections,
+        short.peak_sections
+    );
+    assert!(
+        long.peak_queue <= short.peak_queue,
+        "queue occupancy grew with the stream: {} vs {}",
+        long.peak_queue,
+        short.peak_queue
+    );
 }

@@ -3,7 +3,7 @@
 use rapid_trace::{
     Event, EventId, EventKind, LastAccesses, Race, RaceKind, RaceReport, RaceSink, Trace,
 };
-use rapid_vc::VectorClock;
+use rapid_vc::{ThreadId, VectorClock};
 
 use crate::sync::{dense_slot, SyncClocks};
 
@@ -54,6 +54,11 @@ impl HbTimestamps {
 struct VarHistory {
     reads: LastAccesses,
     writes: LastAccesses,
+    /// The first thread to access the variable.
+    first: Option<ThreadId>,
+    /// A second thread has accessed the variable.  Until then every stored
+    /// access is the accessing thread's own and no scan can find a race.
+    shared: bool,
 }
 
 /// The push-based streaming core of the Djit⁺ HB detector.
@@ -115,15 +120,19 @@ impl HbStream {
         let HbStream { sync, vars, sink, .. } = self;
         let clock = sync.clock(thread);
         let history = dense_slot(vars, var.index());
+        match history.first {
+            None => history.first = Some(thread),
+            Some(first) => history.shared |= first != thread,
+        }
         // A write conflicts with earlier reads and writes; a read only with
         // earlier writes.
-        history.writes.record_races(clock, event, var, RaceKind::Hb, sink);
-        let own = if write {
-            history.reads.record_races(clock, event, var, RaceKind::Hb, sink);
-            &mut history.writes
-        } else {
-            &mut history.reads
-        };
+        if history.shared {
+            history.writes.record_races(clock, event, var, RaceKind::Hb, sink);
+            if write {
+                history.reads.record_races(clock, event, var, RaceKind::Hb, sink);
+            }
+        }
+        let own = if write { &mut history.writes } else { &mut history.reads };
         own.store(thread.index(), clock.get(thread), event);
         sink.fresh()
     }

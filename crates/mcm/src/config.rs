@@ -6,7 +6,7 @@
 /// (events per window) and the per-window solver timeout in seconds.  The
 /// timeout is mapped to a deterministic search-node quota via
 /// [`McmConfig::nodes_per_second`] so that results are reproducible across
-/// machines (the mapping is recorded in `EXPERIMENTS.md`).
+/// machines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McmConfig {
     /// Number of events per analysis window (RVPredict sweeps 1K–10K).

@@ -73,12 +73,24 @@ pub struct ClosedSection {
 #[derive(Debug, Clone, Default)]
 pub struct LockContext {
     stacks: Vec<Vec<Frame>>,
+    /// Cleared access-set buffers of recycled sections, reused by the next
+    /// acquires.
+    spare: Vec<(Vec<VarId>, Vec<VarId>)>,
 }
 
 impl LockContext {
     /// Creates a context able to track `threads` threads (it grows on demand).
     pub fn new(threads: usize) -> Self {
-        LockContext { stacks: vec![Vec::new(); threads] }
+        LockContext { stacks: vec![Vec::new(); threads], spare: Vec::new() }
+    }
+
+    /// Hands a closed section's buffers back, so a later acquire reuses
+    /// them instead of allocating.
+    pub fn recycle(&mut self, section: ClosedSection) {
+        let ClosedSection { mut reads, mut writes, .. } = section;
+        reads.clear();
+        writes.clear();
+        self.spare.push((reads, writes));
     }
 
     fn stack_mut(&mut self, thread: ThreadId) -> &mut Vec<Frame> {
@@ -128,7 +140,8 @@ impl LockContext {
         let thread = event.thread();
         match event.kind() {
             EventKind::Acquire(lock) => {
-                self.stack_mut(thread).push(Frame { lock, reads: Vec::new(), writes: Vec::new() });
+                let (reads, writes) = self.spare.pop().unwrap_or_default();
+                self.stack_mut(thread).push(Frame { lock, reads, writes });
                 None
             }
             EventKind::Release(lock) => {
@@ -279,6 +292,32 @@ mod tests {
         let closed = closed.unwrap();
         assert!(closed.reads.is_empty());
         assert!(closed.writes.is_empty());
+    }
+
+    #[test]
+    fn recycled_buffers_start_empty() {
+        let mut b = TraceBuilder::new();
+        let t = b.thread("t");
+        let l = b.lock("l");
+        let x = b.variable("x");
+        let y = b.variable("y");
+        b.critical_section(t, l, |b| {
+            b.write(t, x);
+        });
+        b.critical_section(t, l, |b| {
+            b.read(t, y);
+        });
+        let trace = b.finish();
+
+        let mut ctx = LockContext::new(1);
+        let mut sections = Vec::new();
+        for event in trace.events() {
+            if let Some(section) = ctx.on_event(event) {
+                sections.push((section.reads.clone(), section.writes.clone()));
+                ctx.recycle(section);
+            }
+        }
+        assert_eq!(sections, vec![(vec![], vec![x]), (vec![y], vec![])]);
     }
 
     #[test]

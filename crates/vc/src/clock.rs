@@ -135,24 +135,6 @@ impl VectorClock {
         })
     }
 
-    /// Pointwise comparison `self ⊑ other[thread := value]` without
-    /// materializing the overridden clock.
-    ///
-    /// Detectors use this to compare against a thread's *event time*
-    /// `C_t = P_t[t := N_t]` while only storing `P_t` and the scalar `N_t`,
-    /// avoiding a clone-set-compare sequence on the hot path.
-    pub fn le_with_override(&self, other: &VectorClock, thread: ThreadId, value: u64) -> bool {
-        let overridden = thread.index();
-        self.components.iter().enumerate().all(|(index, &component)| {
-            let bound = if index == overridden {
-                value
-            } else {
-                other.components.get(index).copied().unwrap_or(0)
-            };
-            component <= bound
-        })
-    }
-
     /// Full comparison under the pointwise partial order.
     pub fn compare(&self, other: &VectorClock) -> ClockOrdering {
         let le = self.le(other);
@@ -361,29 +343,6 @@ mod tests {
         assert_eq!(a.joined(&a), a);
         assert_eq!(a.joined(&b), b.joined(&a));
         assert_eq!(a.joined(&b).joined(&c), a.joined(&b.joined(&c)));
-    }
-
-    #[test]
-    fn le_with_override_matches_materialized_clock() {
-        let base = VectorClock::from_components([2, 3, 1]);
-        for thread in 0..4u32 {
-            for value in 0..5u64 {
-                let mut materialized = base.clone();
-                materialized.set(t(thread), value);
-                for probe in [
-                    VectorClock::from_components([2, 3, 1]),
-                    VectorClock::from_components([0, 4]),
-                    VectorClock::from_components([2, 3, 1, 1]),
-                    VectorClock::bottom(),
-                ] {
-                    assert_eq!(
-                        probe.le_with_override(&base, t(thread), value),
-                        probe.le(&materialized),
-                        "probe {probe} vs {base}[{thread} := {value}]"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

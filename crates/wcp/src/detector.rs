@@ -4,9 +4,27 @@
 //!
 //! The detector keeps *flat, dense* state: thread, lock and variable ids are
 //! first-appearance integers, so every clock table is a `Vec` indexed by
-//! `id.index()` — no hashing on the per-event path.  Per-event snapshots
-//! (the `C_t` copies queued for Rule (b)) are recycled through a
-//! [`ClockPool`], so steady-state analysis performs no allocations.
+//! `id.index()` — no hashing on the per-event path.  The release-time clocks
+//! `H_rel` queued for Rule (b) are recycled through a [`ClockPool`], and an
+//! open acquire is queued as one scalar, so steady-state analysis performs
+//! no allocations.
+//!
+//! # Rule (b) at O(1) per queued section
+//!
+//! The paper's release walks a lock's queue with a full comparison
+//! `C_acq ⊑ C_t` and one join per consumed section.  On traces that pass
+//! [`Trace::validate`] two facts make both O(1) per section:
+//!
+//! * for events of different threads, `C_a ⊑ C_b` is decided by the
+//!   component of `a`'s thread alone, because WCP is closed under left
+//!   composition with HB (the private `SectionEntry` docs give the
+//!   argument), so an open acquire is queued as its owner's local time;
+//! * one lock's releases form an HB chain, so the release time of the last
+//!   section a walk consumes dominates every earlier one and is joined
+//!   once, when the walk stops (the private `LockHistory` docs).
+//!
+//! Verdicts, timestamps and counters equal the paper's on such traces; on
+//! traces that fail `validate` they may differ.
 //!
 //! # Epoch fast paths
 //!
@@ -39,7 +57,10 @@
 //! A fast-path hit still refreshes the per-thread last-access metadata (so
 //! later race *pairs* report the same event ids as the reference) and bumps
 //! `clock_joins` by the amount the full pipeline would have counted, keeping
-//! [`WcpStats`] bit-identical between the fast and full-clock modes.  Racy
+//! [`WcpStats`] bit-identical between the fast and full-clock modes.  It
+//! skips the [`LockContext`] update: the same thread and `version` mean the
+//! same open critical sections, and the cached access already added the
+//! variable to their access sets.  Racy
 //! accesses never populate the cache: the reference re-reports a race on
 //! every unordered repeat, so repeats must take the slow path.  Everything
 //! else — acquire/release, Rule (b) queue consumption, fork/join — always
@@ -84,9 +105,11 @@ pub struct WcpConfig {
     /// vector-clock pipeline — the *reference mode* used by differential
     /// tests.
     pub epoch_fast_paths: bool,
-    /// Recycle `C_t`/`H_t` snapshots through a [`ClockPool`] instead of
-    /// allocating fresh clocks.  `false` allocates and drops every snapshot,
-    /// which the pool-identity proptest compares against.
+    /// Recycle the release-time clocks `H_rel` that Rule (b) queues, one per
+    /// closed critical section, through a [`ClockPool`] instead of
+    /// allocating fresh clocks (an open acquire is queued as a scalar and
+    /// needs none).  `false` allocates and drops every clock, which the
+    /// pool-identity proptest compares against.
     pub pool_clocks: bool,
 }
 
@@ -147,12 +170,17 @@ struct VarState {
     reads: LastAccesses,
     /// Last write per thread, at local time `N_e`.
     writes: LastAccesses,
-    /// Rule (a) release summaries, one entry per lock whose critical
-    /// sections accessed `x`, sorted by lock and found by binary search.
-    /// Most variables are guarded by a few locks, but the count is not
-    /// bounded: on the xalan model one thread-local variable is accessed
-    /// under all 1,111 locks.
+    /// The locks whose critical sections accessed `x`, sorted; `rel[i]`
+    /// holds the release summaries of `rel_locks[i]`.  Most variables are
+    /// guarded by a few locks, but the count is not bounded: on the xalan
+    /// model one thread-local variable is accessed under all 1,111 locks, so
+    /// an access binary-searches this compact index, not the summaries.
+    rel_locks: Vec<LockId>,
+    /// Rule (a) release summaries, parallel to `rel_locks`.
     rel: Vec<RelEntry>,
+    /// The thread of every release recorded in `rel` while they share one,
+    /// `None` otherwise.  That thread's accesses receive no Rule (a) join.
+    rel_owner: Option<ThreadId>,
     /// Bumped whenever `read_clock` may have grown.
     read_gen: u64,
     /// Bumped whenever `write_clock` may have grown.
@@ -166,22 +194,30 @@ struct VarState {
 impl VarState {
     /// The Rule (a) entry of `lock`, if a release of it recorded one.
     fn rel_entry(&self, lock: LockId) -> Option<&RelEntry> {
-        let found = self.rel.binary_search_by_key(&lock, |entry| entry.lock).ok()?;
+        let found = self.rel_locks.binary_search(&lock).ok()?;
         Some(&self.rel[found])
     }
 
-    /// The Rule (a) entry of `lock`, inserted in lock order if missing.
-    fn rel_entry_mut(&mut self, lock: LockId) -> &mut RelEntry {
-        let found = match self.rel.binary_search_by_key(&lock, |entry| entry.lock) {
+    /// The Rule (a) entry of `lock` for a release by `thread`, inserted in
+    /// lock order if missing.
+    fn rel_entry_mut(&mut self, lock: LockId, thread: ThreadId) -> &mut RelEntry {
+        self.rel_owner = (!self.rel_from_others(thread)).then_some(thread);
+        let found = match self.rel_locks.binary_search(&lock) {
             Ok(found) => found,
             Err(at) => {
-                let entry =
-                    RelEntry { lock, read: Releases::default(), write: Releases::default() };
-                self.rel.insert(at, entry);
+                self.rel_locks.insert(at, lock);
+                self.rel.insert(at, RelEntry::default());
                 at
             }
         };
         &mut self.rel[found]
+    }
+
+    /// Whether an access by `thread` can receive a Rule (a) join: some
+    /// recorded release was by another thread.  Otherwise every summary's
+    /// [`Releases::for_access`] is empty and the held-lock loop is skipped.
+    fn rel_from_others(&self, thread: ThreadId) -> bool {
+        !self.rel_locks.is_empty() && self.rel_owner != Some(thread)
     }
 }
 
@@ -198,9 +234,8 @@ impl VarState {
 /// earlier release by any thread other than `t`.  [`Releases`] therefore
 /// keeps only the latest release with its thread and the latest release by
 /// any other thread; whichever of the two is not `t`'s own is the join.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RelEntry {
-    lock: LockId,
     read: Releases,
     write: Releases,
 }
@@ -244,12 +279,22 @@ impl Releases {
 }
 
 /// One closed critical section over a lock, published for Rule (b): the
-/// acquire's WCP time `C_acq`, the release's HB time `H_rel`, and the thread
-/// that ran the section.
+/// thread `u` that ran the section, the local time `N_u` of its acquire, and
+/// the release's HB time `H_rel`.
+///
+/// The paper queues the acquire's whole WCP time `C_acq = P_u[u := N_u]`
+/// and tests `C_acq ⊑ C_t`.  One component decides that test on traces
+/// that pass [`Trace::validate`]: for events `a` of `u` and `b` of another
+/// thread, `C_a ⊑ C_b ⟺ C_a[u] ≤ C_b[u]`, because WCP is closed under left
+/// composition with HB (the paper's rule (c)).  `C_b[u] ≥ N_a` means `b`
+/// knows an event `e` of `u` with `C_e ⊑ C_b` that ends the run of local
+/// time `N_a` or comes later (a release, a fork, or `u`'s last event before
+/// a join), so `a ≤HB e` and then `a ≤WCP b`.  The acquire is therefore
+/// stored as the scalar `N_u`.
 #[derive(Debug, Clone)]
 struct SectionEntry {
     thread: ThreadId,
-    acq: VectorClock,
+    acq: u64,
     rel_hb: VectorClock,
 }
 
@@ -268,6 +313,16 @@ struct SectionEntry {
 /// consumer's release published a lock clock `P_l ⊒ H_rel ⊒ C_acq`, which
 /// makes any later thread's consumption of the entry a provable no-op (see
 /// [`WcpStream`] for why this yields batch ≡ stream on well-formed traces).
+///
+/// A release walks its thread's cursor forward with one scalar test per
+/// entry (see [`SectionEntry`]) and one join per walk.  The sections one
+/// walk consumes all end in releases of this lock, and on traces that pass
+/// [`Trace::validate`] those releases form an HB chain (each acquire joins
+/// the previous release's `H_l`), so the `H_rel` of the last consumed
+/// section dominates every earlier one: `P_t ⊔ H_last` is the clock the
+/// paper's per-entry joins build, the next entry of owner `u` is tested
+/// against its component `max(P_t[u], H_last[u])`, and `H_last` is joined
+/// into `P_t` once when the walk stops.
 #[derive(Debug, Default)]
 struct LockHistory {
     /// Absolute index of `entries.front()`.
@@ -298,7 +353,7 @@ impl LockHistory {
 }
 
 /// Per-lock state: the `H_l`/`P_l` clocks, the Rule (b) section FIFO, and
-/// the per-thread stacks of open-acquire `C_t` snapshots.
+/// the per-thread stacks of open acquires' local times.
 #[derive(Debug, Default)]
 struct LockState {
     /// The lock appeared in at least one acquire/release.
@@ -311,14 +366,14 @@ struct LockState {
     /// `P_l`.
     wcp: VectorClock,
     history: LockHistory,
-    /// `C_t` snapshots taken at each open acquire (dense by thread index,
+    /// The local time `N_t` of each open acquire (dense by thread index,
     /// innermost last), consumed when the matching release publishes the
     /// section.
-    open: Vec<Vec<VectorClock>>,
+    open: Vec<Vec<u64>>,
 }
 
 impl LockState {
-    fn open_stack(&mut self, thread: usize) -> &mut Vec<VectorClock> {
+    fn open_stack(&mut self, thread: usize) -> &mut Vec<u64> {
         if self.open.len() <= thread {
             self.open.resize_with(thread + 1, Vec::new);
         }
@@ -354,7 +409,7 @@ struct WcpState {
     vars: Vec<VarState>,
     /// Online tracking of held locks and per-critical-section access sets.
     lockctx: LockContext,
-    /// Recycles the `C_t`/`H_t` snapshots queued for Rule (b).
+    /// Recycles the `H_rel` clocks queued for Rule (b).
     pool: ClockPool,
     /// Staging buffer for the current access's `C_t` (never escapes an
     /// event).
@@ -453,7 +508,8 @@ impl WcpState {
         clock
     }
 
-    /// Takes a snapshot clock (pooled unless disabled by config).
+    /// Takes a clock for a queued `H_rel` (pooled unless disabled by
+    /// config).
     fn alloc_clock(&mut self) -> VectorClock {
         if self.config.pool_clocks {
             self.pool.take()
@@ -493,43 +549,45 @@ impl WcpState {
             }
         }
         self.version[index] += 1;
-        // Snapshot `C_t` for Rule (b); it is published to the other threads
-        // when the matching release closes the critical section (no other
-        // thread can release `lock` while this section is open, so the
-        // deferred publication is unobservable).
-        let mut snapshot = self.alloc_clock();
-        snapshot.copy_from(&self.wcp[index]);
-        snapshot.set(thread, self.local[index]);
-        self.locks[lock_index].open_stack(index).push(snapshot);
+        // Record `C_t[t] = N_t` for Rule (b) (see `SectionEntry`); it is
+        // published to the other threads when the matching release closes
+        // the critical section (no other thread can release `lock` while
+        // this section is open, so the deferred publication is
+        // unobservable).
+        let local = self.local[index];
+        self.locks[lock_index].open_stack(index).push(local);
     }
 
     fn release(&mut self, thread: ThreadId, lock: LockId, reads: &[VarId], writes: &[VarId]) {
         self.ensure_lock(lock);
         let index = thread.index();
-        let local = self.local[index];
         // Rule (b): consume critical sections (of other threads) whose
-        // acquire time is already known to `C_t`.  Consumed release times
-        // are joined straight into `P_t`, so the `C_t` the next comparison
-        // sees (`P_t` with the local component pinned to `N_t` via
-        // `le_with_override`) grows incrementally — exactly the
-        // re-evaluation the algorithm asks for, in linear time.
+        // acquire is already WCP-before this release.  `last` is the release
+        // time of the last section consumed so far, which dominates every
+        // earlier one (see `LockHistory`), so an entry of owner `u` is
+        // consumed when `N_acq ≤ (P_t ⊔ last)[u]`, and `last` is joined into
+        // `P_t` once, after the walk.  `clock_joins` still counts one join
+        // per consumed section, as the paper's algorithm performs.
         {
             let WcpState { locks, wcp, stats, queue_entries, .. } = self;
             let history = &mut locks[lock.index()].history;
             let mut cursor = history.cursor(index);
-            while let Some(entry) = history.entries.get(cursor - history.base) {
-                if entry.thread == thread {
-                    cursor += 1;
-                    continue;
-                }
-                if entry.acq.le_with_override(&wcp[index], thread, local) {
+            let mut last: Option<&VectorClock> = None;
+            for entry in history.entries.iter().skip(cursor - history.base) {
+                if entry.thread != thread {
+                    let owner = entry.thread;
+                    let known = wcp[index].get(owner).max(last.map_or(0, |hb| hb.get(owner)));
+                    if entry.acq > known {
+                        break;
+                    }
                     stats.clock_joins += 1;
-                    wcp[index].join(&entry.rel_hb);
                     *queue_entries -= 2;
-                    cursor += 1;
-                } else {
-                    break;
+                    last = Some(&entry.rel_hb);
                 }
+                cursor += 1;
+            }
+            if let Some(hb) = last {
+                wcp[index].join(hb);
             }
             history.set_cursor(index, cursor);
         }
@@ -563,7 +621,6 @@ impl WcpState {
                 let entry = history.entries.pop_front().expect("checked front");
                 history.base += 1;
                 if config.pool_clocks {
-                    pool.put(entry.acq);
                     pool.put(entry.rel_hb);
                 }
             }
@@ -582,7 +639,7 @@ impl WcpState {
                     }
                     let state = &mut vars[var.index()];
                     state.rel_gen += 1;
-                    let entry = state.rel_entry_mut(lock);
+                    let entry = state.rel_entry_mut(lock, thread);
                     let side = if write_side { &mut entry.write } else { &mut entry.read };
                     side.record(thread, hb_time);
                 }
@@ -652,7 +709,7 @@ impl WcpState {
         // currently held (a same-thread critical section cannot contain an
         // event conflicting with this read).
         let mut rule_a_joins = 0u32;
-        if depth > 0 {
+        if depth > 0 && state.rel_from_others(thread) {
             for lock in lockctx.held_iter(thread) {
                 let Some(entry) = state.rel_entry(lock) else {
                     continue;
@@ -694,6 +751,9 @@ impl WcpState {
                 rule_a_joins,
             }
         };
+        // Add `var` to the open sections' access sets (a fast-path hit's
+        // cached access already did).
+        lockctx.on_event(event);
     }
 
     fn write(&mut self, event: &Event, var: VarId) {
@@ -736,7 +796,7 @@ impl WcpState {
         // threads*, whose critical sections read or wrote `var`, for every
         // lock currently held.
         let mut rule_a_joins = 0u32;
-        if depth > 0 {
+        if depth > 0 && state.rel_from_others(thread) {
             for lock in lockctx.held_iter(thread) {
                 let Some(entry) = state.rel_entry(lock) else {
                     continue;
@@ -785,6 +845,9 @@ impl WcpState {
                 rule_a_joins,
             }
         };
+        // Add `var` to the open sections' access sets (a fast-path hit's
+        // cached access already did).
+        lockctx.on_event(event);
     }
 
     /// Fork/join events are not part of the paper's trace alphabet (§2.1) but
@@ -851,13 +914,20 @@ impl WcpState {
 /// differ (fan-out is counted against the threads known at the time).
 /// Malformed traces (a release without a matching acquire breaks mutual
 /// exclusion, and with it the `P_l` monotonicity the argument rests on) keep
-/// the pre-registered guarantee only.  On traces that fail
-/// [`Trace::validate`], Rule (a) may also miss orderings: each (lock,
-/// variable) pair keeps two release times per access kind, and they stand
-/// for all earlier releases only while one lock's releases form an HB
-/// chain.  [`WcpDetector`] pre-registers the full thread set, making batch
-/// runs report the same races, orderings and timestamps as the original
-/// whole-trace algorithm.
+/// the pre-registered guarantee only.  [`WcpDetector`] pre-registers the
+/// full thread set, making batch runs report the same races, orderings and
+/// timestamps as the original whole-trace algorithm on traces that pass
+/// [`Trace::validate`].
+///
+/// On traces that fail `validate`, verdicts may differ from the paper's
+/// algorithm; the stream still takes every event without panicking.  Three
+/// shortcuts rest on well-formedness: each Rule (a) (lock, variable) pair
+/// keeps two release times per access kind, and the Rule (b) walk joins only
+/// the last consumed section's release time, both of which stand for all
+/// earlier releases only while one lock's releases form an HB chain; and
+/// Rule (b) tests a queued acquire by its owner's component alone, which
+/// decides the full comparison only when WCP is closed under left
+/// composition with HB (the module docs summarize both arguments).
 pub struct WcpStream {
     state: WcpState,
 }
@@ -904,22 +974,15 @@ impl WcpStream {
                 state.acquire(thread, lock);
                 state.lockctx.on_event(event);
             }
-            EventKind::Release(lock) => {
-                let closed = state.lockctx.on_event(event);
-                let (reads, writes) = match closed {
-                    Some(section) => (section.reads, section.writes),
-                    None => (Vec::new(), Vec::new()),
-                };
-                state.release(thread, lock, &reads, &writes);
-            }
-            EventKind::Read(var) => {
-                state.read(event, var);
-                state.lockctx.on_event(event);
-            }
-            EventKind::Write(var) => {
-                state.write(event, var);
-                state.lockctx.on_event(event);
-            }
+            EventKind::Release(lock) => match state.lockctx.on_event(event) {
+                Some(section) => {
+                    state.release(thread, lock, &section.reads, &section.writes);
+                    state.lockctx.recycle(section);
+                }
+                None => state.release(thread, lock, &[], &[]),
+            },
+            EventKind::Read(var) => state.read(event, var),
+            EventKind::Write(var) => state.write(event, var),
             EventKind::Fork(child) => state.fork(thread, child),
             EventKind::Join(child) => state.join(thread, child),
         }

@@ -50,7 +50,10 @@ pub struct WcpStats {
     pub epoch_fast_reads: u64,
     /// Write events answered by the O(1) epoch fast path (no clock work).
     pub epoch_fast_writes: u64,
-    /// Rule (b) snapshot clocks requested from the [`rapid_vc::ClockPool`].
+    /// Release-time clocks `H_rel` requested from the
+    /// [`rapid_vc::ClockPool`]: one per critical section closed by a release
+    /// that matched an open acquire.  Open acquires are queued as scalars
+    /// and take no clock.
     pub pool_taken: u64,
     /// Requests served by recycling instead of allocating.
     pub pool_recycled: u64,

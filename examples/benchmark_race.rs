@@ -7,6 +7,8 @@
 //!
 //! Defaults to `ftpserver` scaled to 20 000 events.  Use
 //! `cargo run --example benchmark_race -- list` to see the benchmark names.
+//! Exits 1 unless the whole-trace WCP and HB race pair counts equal the
+//! model's Table 1 columns.
 
 use std::env;
 use std::process::ExitCode;
@@ -83,5 +85,15 @@ fn main() -> ExitCode {
         wcp.report.max_distance(),
         100 * wcp.report.max_distance() / trace.len().max(1)
     );
+    if wcp.report.distinct_pairs() != spec.wcp_races || hb.distinct_pairs() != spec.hb_races {
+        eprintln!(
+            "{name}: WCP/HB found {}/{} race pairs, Table 1 has {}/{}",
+            wcp.report.distinct_pairs(),
+            hb.distinct_pairs(),
+            spec.wcp_races,
+            spec.hb_races
+        );
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }

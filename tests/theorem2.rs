@@ -5,7 +5,9 @@
 //! right side by the independent closure engine (`rapid-cp`).  The property
 //! is checked on the paper's figures, on the lower-bound family, and on
 //! proptest-generated random workloads.  The streaming WCP and HB cores'
-//! exact race events are checked against the closure as well.
+//! exact race events are checked against the closure as well, and so is the
+//! fact the detector's Rule (b) test rests on: across threads, one clock
+//! component decides the order.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -103,6 +105,50 @@ fn assert_theorem2(trace: &Trace, context: &str) {
     }
 }
 
+/// For every pair `a <tr b` of different threads,
+/// `C_a ⊑ C_b ⟺ C_a[thread(a)] ≤ C_b[thread(a)]`: WCP is closed under left
+/// composition with HB, so `b` knowing `a`'s thread up to `a`'s local time
+/// orders `a` before `b`.  The detector's Rule (b) tests a queued acquire
+/// by this one component.  Returns the number of pairs checked.
+fn assert_one_component_decides(trace: &Trace, context: &str) -> usize {
+    let outcome = WcpDetector::new().analyze_with_timestamps(trace);
+    let timestamps = outcome.timestamps.expect("timestamps requested");
+    let mut pairs = 0;
+    for (i, a) in trace.events().iter().enumerate() {
+        let (owner, early) = (a.thread(), timestamps.clock(a.id()));
+        for b in trace.events().iter().skip(i + 1).filter(|b| b.thread() != owner) {
+            let late = timestamps.clock(b.id());
+            assert_eq!(
+                early.le(late),
+                early.get(owner) <= late.get(owner),
+                "{context}: C_{} = {early} and C_{} = {late} disagree with their {owner} component",
+                a.id(),
+                b.id()
+            );
+            pairs += 1;
+        }
+    }
+    pairs
+}
+
+#[test]
+fn one_component_decides_cross_thread_order() {
+    let mut pairs = 0;
+    for figure in figures::paper_figures() {
+        pairs += assert_one_component_decides(&figure.trace, figure.name);
+    }
+    for bits in 1..=3 {
+        for u in 0..(1u64 << bits) {
+            for v in 0..(1u64 << bits) {
+                let instance = lower_bound_trace(&bits_of(u, bits), &bits_of(v, bits));
+                let context = format!("figure-8 u={u:0bits$b} v={v:0bits$b}");
+                pairs += assert_one_component_decides(&instance.trace, &context);
+            }
+        }
+    }
+    assert!(pairs > 50_000, "too few cross-thread pairs checked: {pairs}");
+}
+
 #[test]
 fn theorem2_holds_on_all_figures() {
     for figure in figures::paper_figures() {
@@ -173,6 +219,7 @@ fn theorem2_holds_on_fixed_random_workloads() {
         };
         let trace = config.generate();
         assert_theorem2(&trace, &format!("seed {seed}"));
+        assert_one_component_decides(&trace, &format!("seed {seed}"));
     }
 }
 
@@ -204,6 +251,7 @@ proptest! {
         let trace = config.generate();
         prop_assert!(trace.validate().is_ok());
         assert_theorem2(&trace, &format!("proptest seed {seed}"));
+        assert_one_component_decides(&trace, &format!("proptest seed {seed}"));
     }
 
     /// The race *reports* agree as well: the exact race events of the WCP
@@ -225,5 +273,6 @@ proptest! {
         };
         let trace = config.generate();
         assert_race_events_match_closure(&trace, &format!("proptest seed {seed}"));
+        assert_one_component_decides(&trace, &format!("proptest seed {seed}"));
     }
 }
