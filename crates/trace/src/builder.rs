@@ -42,40 +42,96 @@ pub struct TraceBuilder {
 
 /// String-to-dense-id interner shared by [`TraceBuilder`] and the streaming
 /// trace readers in [`format`](crate::format).
+///
+/// Ids are dense and assigned in order of first appearance.  The map is
+/// keyed by the name's bytes and keeps std's SipHash `RandomState`, because
+/// names come from outside the program and must not be able to force
+/// collisions.  [`intern_bytes`](Interner::intern_bytes), the text readers'
+/// entry point, first checks a small direct-mapped memo of recently seen
+/// ids; a trace names few threads, locks and locations, so most lookups end
+/// there.  A memo slot is only a guess: it counts after its name compares
+/// equal byte for byte, so colliding names fall through to the map and never
+/// share an id.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Interner {
     names: Vec<String>,
-    by_name: HashMap<String, u32>,
+    by_name: HashMap<Box<[u8]>, u32>,
+    /// `MEMO_SLOTS` recent ids indexed by [`memo_slot`]; empty until the
+    /// first `intern_bytes`, so the `.rwf` reader's tables never carry it.
+    recent: Vec<u32>,
+}
+
+/// Slots of [`Interner`]'s recent-id memo: a power of two.
+const MEMO_SLOTS: usize = 1024;
+
+/// The memo slot of `name`: a multiply-rotate hash over its 8-byte words.
+/// Names come from outside the program, so this is no defence against
+/// crafted collisions; it need not be one, since a slot is only a guess
+/// that [`Interner::intern_bytes`] verifies.
+fn memo_slot(name: &[u8]) -> usize {
+    const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(MULTIPLIER);
+    let mut words = name.chunks_exact(8);
+    let mut hash = name.len() as u64;
+    for word in &mut words {
+        hash = mix(hash, u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")));
+    }
+    let mut tail = [0; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    hash = mix(hash, u64::from_le_bytes(tail));
+    (hash >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 impl Interner {
     pub(crate) fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        match self.by_name.get(name.as_bytes()) {
+            Some(&id) => id,
+            None => self.insert(name),
         }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
-        id
     }
 
     /// Interns a name given as raw bytes (the byte-level text parser's entry
-    /// point).  Valid UTF-8 interns without copying first; invalid bytes are
-    /// replaced (U+FFFD) rather than rejected, so a stray byte in one name
-    /// cannot abort ingestion of a multi-gigabyte trace.
+    /// point).  UTF-8 is checked only when a name is first seen.  Invalid
+    /// bytes are replaced (U+FFFD) rather than rejected, so a stray byte in
+    /// one name cannot abort ingestion of a multi-gigabyte trace; the id is
+    /// that of the replaced form, shared with every name that replaces to it.
     pub(crate) fn intern_bytes(&mut self, name: &[u8]) -> u32 {
-        match std::str::from_utf8(name) {
-            Ok(name) => self.intern(name),
-            Err(_) => self.intern(&String::from_utf8_lossy(name)),
+        if self.recent.is_empty() {
+            self.recent = vec![0; MEMO_SLOTS];
         }
+        let slot = memo_slot(name);
+        let guess = self.recent[slot];
+        if self.names.get(guess as usize).is_some_and(|known| known.as_bytes() == name) {
+            return guess;
+        }
+        let id = match self.by_name.get(name) {
+            Some(&id) => id,
+            None => match std::str::from_utf8(name) {
+                Ok(name) => self.insert(name),
+                // Never memoized: the stored name is not these bytes.
+                Err(_) => return self.intern(&String::from_utf8_lossy(name)),
+            },
+        };
+        self.recent[slot] = id;
+        id
+    }
+
+    fn insert(&mut self, name: &str) -> u32 {
+        let id = self.names.len() as u32;
+        self.names.push(name.to_owned());
+        self.by_name.insert(name.as_bytes().into(), id);
+        id
     }
 
     /// Rebuilds an interner from a complete name list (ids are the list
     /// positions) — used by the binary reader's string tables.
     pub(crate) fn from_names(names: Vec<String>) -> Interner {
-        let by_name =
-            names.iter().enumerate().map(|(id, name)| (name.clone(), id as u32)).collect();
-        Interner { names, by_name }
+        let by_name = names
+            .iter()
+            .enumerate()
+            .map(|(id, name)| (name.as_bytes().into(), id as u32))
+            .collect();
+        Interner { names, by_name, recent: Vec::new() }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -275,6 +331,38 @@ mod tests {
         assert_eq!(t1, again);
         assert_ne!(t1, t2);
         assert_eq!(b.num_threads(), 2);
+    }
+
+    #[test]
+    fn memo_collisions_never_alias_two_names() {
+        // 5,000 names over 1,024 memo slots: most slots hold several, and a
+        // slot's guess must never hand one name another's id.
+        let names: Vec<String> = (0..5000).map(|i| format!("Name{i}.java:{}", i * 31)).collect();
+        let mut interner = Interner::default();
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(interner.intern_bytes(name.as_bytes()), id as u32);
+        }
+        // Revisit them shuffled (7,919 is prime, so this stride visits every
+        // index once), through both entry points.
+        for step in 0..names.len() {
+            let id = step * 7919 % names.len();
+            assert_eq!(interner.intern_bytes(names[id].as_bytes()), id as u32, "{}", names[id]);
+            assert_eq!(interner.intern(&names[id]), id as u32, "{}", names[id]);
+        }
+        assert_eq!(interner.len(), names.len());
+    }
+
+    #[test]
+    fn invalid_utf8_names_share_the_id_of_their_replaced_form() {
+        let mut interner = Interner::default();
+        let replaced = interner.intern_bytes(b"x\xFF");
+        assert_eq!(interner.name(replaced), Some("x\u{FFFD}"));
+        assert_eq!(interner.intern_bytes(b"x\xFE"), replaced);
+        assert_eq!(interner.intern_bytes(b"x\xFF"), replaced);
+        assert_eq!(interner.intern_bytes("x\u{FFFD}".as_bytes()), replaced);
+        assert_eq!(interner.intern("x\u{FFFD}"), replaced);
+        assert_eq!(interner.intern_bytes(b"x"), replaced + 1);
+        assert_eq!(interner.len(), 2);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The byte-level parsing core of the text formats.
 //!
 //! [`parse_std_bytes`] parses a single line directly from `&[u8]`: no
-//! per-line `String` and no UTF-8 validation of the whole line — only the
-//! three *name* fields are ever inspected as text (and interned, so after
-//! first sight a name costs one hash lookup).
-//! [`StreamReader`](super::StreamReader) reads each line into one reused
-//! byte buffer and hands it to the same core, as do the string entry points
-//! ([`parse_std`](super::parse_std), [`parse_csv`](super::parse_csv)), so
-//! the grammar of `docs/FORMAT.md` (at the repository root) has exactly one
-//! implementation.
+//! per-line `String` and no UTF-8 validation of the whole line.  The line
+//! is trimmed once, its separators are found eight bytes at a time, and
+//! only the three *name* fields are ever inspected as text: a name is
+//! UTF-8-checked when first seen, and after that costs a check of the
+//! interner's recent-name memo, or one hash lookup.
+//! [`StreamReader`](super::StreamReader) hands the same core each line
+//! where it lies in its `BufRead`'s buffer, copying only a line that
+//! straddles a refill, and the string entry points
+//! ([`parse_std`](super::parse_std), [`parse_csv`](super::parse_csv)) go
+//! through that reader, so the grammar of `docs/FORMAT.md` (at the
+//! repository root) has exactly one implementation.
 
 use rapid_vc::ThreadId;
 
@@ -36,37 +39,60 @@ fn lossy(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
 }
 
-/// The one definition of the lines every text reader ignores: blank and
-/// `#`-comment (FORMAT.md §1.1).  Shared by [`StreamReader`] and the
-/// parsing core so the rule cannot drift.
-///
-/// [`StreamReader`]: super::StreamReader
-pub(super) fn is_ignored_line(line: &[u8]) -> bool {
-    let trimmed = line.trim_ascii();
-    trimmed.is_empty() || trimmed.first() == Some(&b'#')
+/// The index of the first `needle` in `haystack`, testing eight bytes per
+/// step: a byte of `word ^ pattern` is zero exactly where `needle` is, and
+/// the lowest byte the zero-byte test flags is always a true zero.
+pub(super) fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let pattern = ONES * u64::from(needle);
+    let mut words = haystack.chunks_exact(8);
+    for (index, word) in (&mut words).enumerate() {
+        let word =
+            u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")) ^ pattern;
+        let zeros = word.wrapping_sub(ONES) & !word & HIGHS;
+        if zeros != 0 {
+            return Some(index * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail.iter().position(|&byte| byte == needle)?;
+    Some(haystack.len() - tail.len() + at)
+}
+
+/// Splits `line` at its first `separator`: the field before it, and the
+/// rest after it if there is one.
+fn split_field(line: &[u8], separator: u8) -> (&[u8], Option<&[u8]>) {
+    match find_byte(line, separator) {
+        Some(at) => (&line[..at], Some(&line[at + 1..])),
+        None => (line, None),
+    }
 }
 
 /// Parses one line of a text-format trace from raw bytes, interning names
 /// through `names` — the shared core of every text reader in this module
 /// tree.
 ///
-/// Comment (`#`) and blank lines yield `Ok(None)`, as does the CSV header
-/// when `is_first_content` is set.  No UTF-8 validation is performed on the
-/// line as a whole; only the individual name fields are checked when first
+/// Comment (`#`) and blank lines yield `Ok(None)` (FORMAT.md §1.1), as
+/// does a CSV header that is the first content line; `seen_content`
+/// records whether a content line has gone by.  The line is trimmed once
+/// and its separators are found in one scan.  No UTF-8 validation is
+/// performed on the line as a whole; a name is checked when first
 /// interned (invalid UTF-8 in a *name* is replaced, not rejected — see
 /// `docs/FORMAT.md` §1.4).
 pub(super) fn parse_content_line_bytes(
     line: &[u8],
     line_number: usize,
     separator: u8,
-    is_first_content: bool,
+    seen_content: &mut bool,
     names: &mut StreamNames,
     next_event: &mut u32,
 ) -> Result<Option<Event>, ParseError> {
-    if is_ignored_line(line) {
+    let line = line.trim_ascii();
+    if line.first().is_none_or(|&byte| byte == b'#') {
         return Ok(None);
     }
-    let line = line.trim_ascii();
+    let is_first_content = !std::mem::replace(seen_content, true);
     // Skip a CSV header if it is the first content line of the input.
     if separator == b','
         && is_first_content
@@ -75,21 +101,24 @@ pub(super) fn parse_content_line_bytes(
     {
         return Ok(None);
     }
-    let mut fields = line.split(|&byte| byte == separator).map(<[u8]>::trim_ascii);
-    let thread = fields
-        .next()
-        .filter(|field| !field.is_empty())
-        .ok_or(ParseError { line: line_number, kind: ParseErrorKind::MissingField })?;
-    let op = fields
-        .next()
-        .filter(|field| !field.is_empty())
-        .ok_or(ParseError { line: line_number, kind: ParseErrorKind::MissingField })?;
-    let location = fields.next().filter(|field| !field.is_empty());
+    let error = |kind| ParseError { line: line_number, kind };
+    // Event ids are 32-bit: ids 0..=u32::MAX - 1 are the most there are.
+    if *next_event == u32::MAX {
+        return Err(error(ParseErrorKind::TooManyEvents));
+    }
+    let (thread, rest) = split_field(line, separator);
+    let (op, rest) = rest.map_or((&[][..], None), |rest| split_field(rest, separator));
+    let (thread, op) = (thread.trim_ascii_end(), op.trim_ascii());
+    if thread.is_empty() || op.is_empty() {
+        return Err(error(ParseErrorKind::MissingField));
+    }
+    // A fourth field and beyond are ignored.
+    let location = rest
+        .map(|rest| split_field(rest, separator).0.trim_ascii())
+        .filter(|field| !field.is_empty());
 
-    let (mnemonic, target) = split_op_bytes(op).ok_or_else(|| ParseError {
-        line: line_number,
-        kind: ParseErrorKind::MalformedOp(lossy(op)),
-    })?;
+    let (mnemonic, target) =
+        split_op_bytes(op).ok_or_else(|| error(ParseErrorKind::MalformedOp(lossy(op))))?;
 
     let thread_id = ThreadId::new(names.threads.intern_bytes(thread));
     let kind = match mnemonic {
@@ -99,12 +128,7 @@ pub(super) fn parse_content_line_bytes(
         b"w" | b"write" => EventKind::Write(VarId::new(names.variables.intern_bytes(target))),
         b"fork" => EventKind::Fork(ThreadId::new(names.threads.intern_bytes(target))),
         b"join" => EventKind::Join(ThreadId::new(names.threads.intern_bytes(target))),
-        other => {
-            return Err(ParseError {
-                line: line_number,
-                kind: ParseErrorKind::UnknownOp(lossy(other)),
-            })
-        }
+        other => return Err(error(ParseErrorKind::UnknownOp(lossy(other)))),
     };
 
     let id = EventId::new(*next_event);
@@ -154,7 +178,8 @@ pub fn parse_std_bytes(
     names: &mut StreamNames,
     next_event: &mut u32,
 ) -> Result<Option<Event>, ParseError> {
-    parse_content_line_bytes(line, line_number, b'|', false, names, next_event)
+    // The CSV header rule does not apply to std, so `seen_content` is moot.
+    parse_content_line_bytes(line, line_number, b'|', &mut true, names, next_event)
 }
 
 #[cfg(test)]
@@ -239,6 +264,44 @@ main|fork(t1)|Main.java:1";
         assert!(event.kind().is_write());
         let name = names.variable_name(VarId::new(0)).unwrap().to_owned();
         assert!(name.starts_with('x') && name.contains('\u{FFFD}'));
+    }
+
+    #[test]
+    fn the_event_counter_stops_at_u32_max_instead_of_wrapping() {
+        let mut names = StreamNames::default();
+        let mut next_event = u32::MAX - 1;
+        let event = parse_std_bytes(b"t1|w(x)|A:1", 7, &mut names, &mut next_event)
+            .expect("the last event id is free")
+            .expect("a content line");
+        assert_eq!(event.id(), EventId::new(u32::MAX - 1));
+        assert_eq!(next_event, u32::MAX);
+        // Ignored lines still pass; the next content line is refused.
+        assert_eq!(parse_std_bytes(b"# more", 8, &mut names, &mut next_event), Ok(None));
+        let error = parse_std_bytes(b"t1|r(x)|A:2", 9, &mut names, &mut next_event)
+            .expect_err("no event id is left");
+        assert_eq!(error, ParseError { line: 9, kind: ParseErrorKind::TooManyEvents });
+        assert_eq!(next_event, u32::MAX);
+        assert_eq!(error.to_string(), "line 9: more than 4294967295 events (event ids are 32-bit)");
+    }
+
+    #[test]
+    fn find_byte_finds_the_first_match_at_every_offset() {
+        // Every length across two 8-byte words, with the needle at every
+        // position, behind an earlier copy of itself, and absent.
+        for len in 0..20 {
+            let haystack = vec![b'a'; len];
+            assert_eq!(find_byte(&haystack, b'|'), None);
+            for at in 0..len {
+                let mut haystack = haystack.clone();
+                haystack[at] = b'|';
+                assert_eq!(find_byte(&haystack, b'|'), Some(at), "{len} {at}");
+                haystack[len - 1] = b'|';
+                assert_eq!(find_byte(&haystack, b'|'), Some(at), "{len} {at}");
+            }
+        }
+        // Bytes one above and below the needle, and high bytes, are not it.
+        assert_eq!(find_byte(b"+-\xac\x00\xff+-\xac,|", b','), Some(8));
+        assert_eq!(find_byte(b"\x01\x01\x01\x01\x01\x01\x01\x01\x00", b'\0'), Some(8));
     }
 
     #[test]

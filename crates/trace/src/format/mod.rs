@@ -30,11 +30,14 @@
 //!
 //! * **Text** — [`StreamReader`], an iterator of
 //!   [`Result<Event, ParseError>`] over any [`BufRead`] that interns names
-//!   on the fly and never materializes a [`Trace`].  Each line goes through
-//!   the byte-level core in [`bytes`] ([`parse_std_bytes`]: no per-line
-//!   `String`, no whole-line UTF-8 validation).  The batch entry points
-//!   ([`parse_std`], [`parse_csv`]) drain a reader and collect the events
-//!   into a [`Trace`], so the two paths cannot diverge.
+//!   on the fly and never materializes a [`Trace`].  Each line is parsed
+//!   where it lies in the `BufRead`'s buffer (64 KiB for files and pipes,
+//!   see [`TextReader`]); only a line that straddles a refill is copied
+//!   out first.  It goes through the byte-level core in [`bytes`]
+//!   ([`parse_std_bytes`]: no per-line `String`, no whole-line UTF-8
+//!   validation).  The batch entry points ([`parse_std`], [`parse_csv`])
+//!   drain a reader and collect the events into a [`Trace`], so the two
+//!   paths cannot diverge.
 //! * **Binary** — [`BinReader`] over the fixed-width *rapid wire format*
 //!   (`.rwf`, see [`binary`]), which removes string handling from the hot
 //!   path entirely: names live once in the string tables, and each event
@@ -85,6 +88,9 @@ pub enum ParseErrorKind {
     MalformedOp(String),
     /// The underlying reader failed (streaming only).
     Io(String),
+    /// Text input has a content line after `u32::MAX` events, the most
+    /// that 32-bit event ids can number.
+    TooManyEvents,
     /// Binary input does not start with the `.rwf` magic bytes.
     BadMagic,
     /// Binary input declares a wire-format version this build cannot read.
@@ -133,6 +139,14 @@ impl fmt::Display for ParseError {
             }
             ParseErrorKind::Io(error) => {
                 write!(f, "line {}: read error: {error}", self.line)
+            }
+            ParseErrorKind::TooManyEvents => {
+                write!(
+                    f,
+                    "line {}: more than {} events (event ids are 32-bit)",
+                    self.line,
+                    u32::MAX
+                )
             }
             ParseErrorKind::BadMagic => {
                 write!(f, "not a rapid wire format file (bad magic bytes)")
@@ -276,10 +290,11 @@ pub struct StreamReader<R> {
     /// Whether a content (non-blank, non-comment) line has been consumed
     /// already — the CSV header is only recognized as the first one.
     seen_content: bool,
-    /// Buffer reused across lines.  Raw bytes: this reader never
-    /// UTF-8-validates whole lines (FORMAT.md §1.4 requires invalid bytes in
-    /// names to be replaced, not rejected).
-    buffer: Vec<u8>,
+    /// The start of a line that straddles a refill of `reader`'s buffer;
+    /// every other line is parsed where it lies.  Raw bytes: this reader
+    /// never UTF-8-validates whole lines (FORMAT.md §1.4 requires invalid
+    /// bytes in names to be replaced, not rejected).
+    carry: Vec<u8>,
     names: StreamNames,
     next_event: u32,
     failed: bool,
@@ -302,7 +317,7 @@ impl<R: BufRead> StreamReader<R> {
             separator,
             line: 0,
             seen_content: false,
-            buffer: Vec::new(),
+            carry: Vec::new(),
             names: StreamNames::default(),
             next_event: 0,
             failed: false,
@@ -338,10 +353,9 @@ impl<R: BufRead> Iterator for StreamReader<R> {
             return None;
         }
         loop {
-            self.buffer.clear();
-            match self.reader.read_until(b'\n', &mut self.buffer) {
-                Ok(0) => return None,
-                Ok(_) => {}
+            let available = match self.reader.fill_buf() {
+                Ok(available) => available,
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
                 Err(error) => {
                     self.failed = true;
                     return Some(Err(ParseError {
@@ -349,25 +363,40 @@ impl<R: BufRead> Iterator for StreamReader<R> {
                         kind: ParseErrorKind::Io(error.to_string()),
                     }));
                 }
-            }
+            };
+            // The line and how much of `available` it takes.
+            let (line, used) = match bytes::find_byte(available, b'\n') {
+                Some(end) if self.carry.is_empty() => (&available[..end], end + 1),
+                Some(end) => {
+                    self.carry.extend_from_slice(&available[..end]);
+                    (&self.carry[..], end + 1)
+                }
+                None if available.is_empty() && self.carry.is_empty() => return None,
+                // The input ends without a final newline.
+                None if available.is_empty() => (&self.carry[..], 0),
+                None => {
+                    let used = available.len();
+                    self.carry.extend_from_slice(available);
+                    self.reader.consume(used);
+                    continue;
+                }
+            };
             self.line += 1;
-            if bytes::is_ignored_line(&self.buffer) {
-                continue;
-            }
-            let is_first_content = !self.seen_content;
-            self.seen_content = true;
             // The byte-level core is the single parsing implementation;
             // this reader only adds the `BufRead` line loop on top.
-            match bytes::parse_content_line_bytes(
-                &self.buffer,
+            let parsed = bytes::parse_content_line_bytes(
+                line,
                 self.line,
                 self.separator,
-                is_first_content,
+                &mut self.seen_content,
                 &mut self.names,
                 &mut self.next_event,
-            ) {
+            );
+            self.reader.consume(used);
+            self.carry.clear();
+            match parsed {
                 Ok(Some(event)) => return Some(Ok(event)),
-                Ok(None) => continue, // skipped CSV header
+                Ok(None) => continue, // blank, comment or CSV header
                 Err(error) => {
                     self.failed = true;
                     return Some(Err(error));
@@ -415,8 +444,13 @@ impl TextFormat {
 
 /// The text reader behind [`AnyReader::Text`].  The byte source — a file, a
 /// pipe or bytes in memory — is boxed *under* the `BufReader`, so dynamic
-/// dispatch happens once per buffer refill, not once per line.
+/// dispatch happens once per buffer refill, not once per line.  The buffer
+/// holds 64 KiB.
 pub type TextReader = StreamReader<BufReader<Box<dyn Read + Send>>>;
+
+/// The size of a [`TextReader`]'s buffer: a refill reads thousands of
+/// lines, and few lines straddle one.
+const TEXT_BUFFER_BYTES: usize = 64 * 1024;
 
 /// One reader over either trace encoding — the event source behind the
 /// `engine` CLI and the shard driver.
@@ -495,7 +529,7 @@ impl AnyReader {
     }
 
     fn text(text: TextFormat, input: Box<dyn Read + Send>) -> AnyReader {
-        let buffered = BufReader::new(input);
+        let buffered = BufReader::with_capacity(TEXT_BUFFER_BYTES, input);
         AnyReader::Text(match text {
             TextFormat::Std => StreamReader::std(buffered),
             TextFormat::Csv => StreamReader::csv(buffered),
@@ -849,6 +883,81 @@ main|fork(t1)|Main.java:1
         assert!(event.kind().is_write());
         let name = reader.names().variable_name(VarId::new(0)).unwrap();
         assert!(name.contains('\u{FFFD}'));
+    }
+
+    /// A text trace in the flavour of `separator` with the line shapes a
+    /// refill can split: `\r\n` endings, blank and `#` lines, a CSV header
+    /// after a comment, a line longer than the smallest buffers, invalid
+    /// UTF-8 in a name and a location-less line.
+    fn awkward_lines(separator: char) -> Vec<u8> {
+        let s = separator;
+        let mut input = b"# logged\r\n\r\n".to_vec();
+        if s == ',' {
+            input.extend_from_slice(b"thread,op,location\r\n");
+        }
+        input.extend_from_slice(format!("t1{s}acq(l){s}A.java:1\r\n").as_bytes());
+        input.extend_from_slice(
+            format!(
+                "  a-thread-name-longer-than-a-refill {s} w(shared.counter) {s} Main.java:1234\n"
+            )
+            .as_bytes(),
+        );
+        input.extend_from_slice(format!("t2{s}r(x").as_bytes());
+        input.push(0xFF);
+        input.extend_from_slice(format!("){s}B.java:2\r\n   \n#{s}\nt1{s}rel(l)\n").as_bytes());
+        input
+    }
+
+    fn flavour<R: BufRead>(source: R, separator: char) -> StreamReader<R> {
+        match separator {
+            '|' => StreamReader::std(source),
+            _ => StreamReader::csv(source),
+        }
+    }
+
+    /// Everything a reader reports: its items, its last line number and
+    /// its name tables.
+    type Drained = (
+        Vec<Result<Event, ParseError>>,
+        usize,
+        (Vec<String>, Vec<String>, Vec<String>, Vec<String>),
+    );
+
+    fn drain<R: BufRead>(mut reader: StreamReader<R>) -> Drained {
+        let items = reader.by_ref().collect();
+        (items, reader.line(), reader.into_names().into_tables())
+    }
+
+    #[test]
+    fn lines_that_straddle_a_refill_parse_as_in_memory() {
+        for separator in ['|', ','] {
+            let lines = awkward_lines(separator);
+            // A malformed last line, and the valid lines alone: neither
+            // ends in a newline.
+            let malformed = [&lines[..], format!("t3{separator}w x").as_bytes()].concat();
+            let valid = &lines[..lines.len() - 1];
+            for input in [&malformed[..], valid] {
+                let expected = drain(flavour(input, separator));
+                let (items, line, (threads, _, variables, _)) = &expected;
+                let last_line = input.split(|&byte| byte == b'\n').count();
+                assert_eq!(*line, last_line);
+                assert_eq!(items.iter().filter(|item| item.is_ok()).count(), 4);
+                if input == valid {
+                    assert!(items.iter().all(Result::is_ok));
+                } else {
+                    let error = items.last().expect("an item").clone().expect_err("malformed");
+                    assert_eq!(error.line, last_line);
+                    assert!(matches!(error.kind, ParseErrorKind::MalformedOp(_)));
+                }
+                assert_eq!(threads[1], "a-thread-name-longer-than-a-refill");
+                assert_eq!(variables, &["shared.counter", "x\u{FFFD}"]);
+                for capacity in [1, 2, 3, 7, 64] {
+                    let refilled =
+                        drain(flavour(BufReader::with_capacity(capacity, input), separator));
+                    assert_eq!(refilled, expected, "{separator:?} with a {capacity}-byte buffer");
+                }
+            }
+        }
     }
 
     #[test]

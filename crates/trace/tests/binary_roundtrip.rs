@@ -2,14 +2,16 @@
 //! formats: `std text → .rwf → std text` is byte-exact (modulo comments and
 //! blank lines, which the text parser discards before conversion), and the
 //! binary reader agrees with [`StreamReader`] event for event.  A `.rwf`
-//! file read from disk decodes exactly as its bytes do in memory, and no
-//! mutation of any encoding makes a decoder panic.
+//! file read from disk decodes exactly as its bytes do in memory, no
+//! mutation of any encoding makes a decoder panic, and a mutated text input
+//! reads the same through a tiny buffer as in memory.
 //!
 //! Together with the golden fixtures `tests/fixtures/figure2b.v2.rwf` and
 //! `figure2b.rwf` (version 1, read but no longer written), these back the
 //! encoding claims of `docs/FORMAT.md` §3.
 
 use std::fs::OpenOptions;
+use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
@@ -232,38 +234,54 @@ fn mutate(input: &[u8], rng: &mut SplitMix) -> Vec<u8> {
     bytes
 }
 
-/// Drains `bytes` through the sniffing reader: the event count, or the
-/// first error.
-fn decode(bytes: Vec<u8>, text: TextFormat) -> Result<usize, ParseError> {
-    let mut count = 0;
-    for event in AnyReader::from_bytes(bytes, text)? {
-        event?;
-        count += 1;
+/// Drains `bytes` through the sniffing reader: the events, or the first
+/// error.
+fn decode(bytes: Vec<u8>, text: TextFormat) -> Result<Vec<Event>, ParseError> {
+    AnyReader::from_bytes(bytes, text)?.collect()
+}
+
+/// Drains text `bytes` through a [`StreamReader`] over a 5-byte buffer, so
+/// that most lines straddle a refill.
+fn decode_in_refills(bytes: &[u8], text: TextFormat) -> Result<Vec<Event>, ParseError> {
+    let source = BufReader::with_capacity(5, bytes);
+    match text {
+        TextFormat::Std => StreamReader::std(source).collect(),
+        TextFormat::Csv => StreamReader::csv(source).collect(),
     }
-    Ok(count)
 }
 
 /// The decoders never panic: every mutant of every encoding of Figure 2b
-/// ends in events or a [`ParseError`].
+/// ends in events or a [`ParseError`].  Every text mutant reads the same
+/// through a 5-byte buffer as in memory: the same events, or the same
+/// first error.
 #[test]
 fn decoders_never_panic_on_mutated_input() {
     const MUTANTS: usize = 2000;
     let trace = figures::figure_2b().trace;
     let encodings = [
-        ("std", TextFormat::Std, format::write_std(&trace).into_bytes()),
-        ("csv", TextFormat::Csv, format::write_csv(&trace).into_bytes()),
-        ("rwf-v1", TextFormat::Std, FIGURE2B_V1.to_vec()),
-        ("rwf-v2", TextFormat::Std, in_blocks(&trace, 2)),
+        ("std", TextFormat::Std, true, format::write_std(&trace).into_bytes()),
+        ("csv", TextFormat::Csv, true, format::write_csv(&trace).into_bytes()),
+        ("rwf-v1", TextFormat::Std, false, FIGURE2B_V1.to_vec()),
+        ("rwf-v2", TextFormat::Std, false, in_blocks(&trace, 2)),
     ];
     let mut rng = SplitMix(0x5EED);
-    for (name, text, original) in encodings {
+    for (name, text, is_text, original) in encodings {
         let (mut decoded, mut rejected) = (0, 0);
         for index in 0..MUTANTS {
             let mutant = mutate(&original, &mut rng);
-            match catch_unwind(AssertUnwindSafe(|| decode(mutant.clone(), text))) {
-                Ok(Ok(_)) => decoded += 1,
-                Ok(Err(_)) => rejected += 1,
-                Err(_) => panic!("{name} mutant {index} panicked the decoder: {mutant:?}"),
+            let Ok(outcome) = catch_unwind(AssertUnwindSafe(|| decode(mutant.clone(), text)))
+            else {
+                panic!("{name} mutant {index} panicked the decoder: {mutant:?}");
+            };
+            if is_text {
+                let Ok(refilled) = catch_unwind(|| decode_in_refills(&mutant, text)) else {
+                    panic!("{name} mutant {index} panicked the 5-byte reader: {mutant:?}");
+                };
+                assert_eq!(refilled, outcome, "{name} mutant {index}: {mutant:?}");
+            }
+            match outcome {
+                Ok(_) => decoded += 1,
+                Err(_) => rejected += 1,
             }
         }
         // Both outcomes occur: the edits reach past the sniff and the header.
