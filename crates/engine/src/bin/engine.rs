@@ -19,12 +19,12 @@
 //!                                         # straggling leases are re-granted to idle
 //!                                         # workers (first result wins)
 //! engine work    <addr> [--jobs N] [--retries N] [--retry-max-wait SECS]
-//!                       [--cache-bytes N] [--no-prefetch]
-//!                                         # worker: lease, analyze, return outcomes;
-//!                                         # reconnects with capped exponential backoff;
-//!                                         # caches shard bytes by content id (HAVE skips
-//!                                         # re-transfers) and prefetches lease N+1 while
-//!                                         # lease N analyzes unless --no-prefetch
+//!                       [--cache-bytes N]
+//!                                         # worker: per connection, lease, analyze, return
+//!                                         # the outcome, lease again; reconnects with capped
+//!                                         # exponential backoff; caches shard bytes by
+//!                                         # content id (HAVE skips re-transfers);
+//!                                         # --no-prefetch is accepted and ignored
 //! engine submit  <addr> [--job NAME [files-or-dirs...]] [--timeout SECS]
 //!                       [--races] [--fail-on-race]
 //!                                         # open a named job / fetch its merged report
@@ -103,7 +103,6 @@ struct Options {
     retries: u32,
     retry_max_wait: u64,
     cache_bytes: usize,
-    no_prefetch: bool,
     speculate_after: Option<f64>,
     chaos_seed: Option<u64>,
 }
@@ -113,12 +112,13 @@ const USAGE: &str = "usage: engine <stream|batch> <file> [--format std|csv] \
 [--races] [--quiet] [--fail-on-race]\n       engine multi <files-or-dirs...> [--jobs N] \
 [--per-shard] [same flags]\n       engine serve [files-or-dirs...] --bind ADDR [--once] \
 [--jobs-hint N] [--lease-timeout SECS] [--speculate-after SECS] [same flags]\n       \
-engine work <addr> [--jobs N] [--retries N] [--retry-max-wait SECS] [--cache-bytes N] \
-[--no-prefetch]\n       engine submit <addr> [--job NAME \
-[files-or-dirs...]] [--timeout SECS] [--races] [--fail-on-race]\n       \
-engine shutdown <addr>\n       engine convert <in> <out> [--format std|csv]\n\
+engine work <addr> [--jobs N] [--retries N] [--retry-max-wait SECS] [--cache-bytes N]\n       \
+engine submit <addr> [--job NAME [files-or-dirs...]] [--timeout SECS] [--races] \
+[--fail-on-race]\n       engine shutdown <addr>\n       \
+engine convert <in> <out> [--format std|csv]\n\
 work|submit also take --chaos-seed N (test/bench only: deterministic fault \
-injection into the transport, replayable from the seed)";
+injection into the transport, replayable from the seed); work accepts and \
+ignores --no-prefetch";
 
 /// Exit code when `--fail-on-race` is set and a race was detected.
 const RACE_EXIT_CODE: u8 = 2;
@@ -156,7 +156,6 @@ fn parse_args() -> Result<Options, String> {
         retries: 3,
         retry_max_wait: 30,
         cache_bytes: 64 << 20,
-        no_prefetch: false,
         speculate_after: None,
         chaos_seed: None,
     };
@@ -237,7 +236,9 @@ fn parse_args() -> Result<Options, String> {
                 options.cache_bytes =
                     value.parse().map_err(|_| format!("invalid cache size {value}"))?;
             }
-            "--no-prefetch" => options.no_prefetch = true,
+            // Accepted and ignored: the worker has one loop, and existing
+            // scripts (perfbench's `service` workload among them) pass it.
+            "--no-prefetch" => {}
             "--speculate-after" => {
                 let value = args.next().ok_or("--speculate-after requires seconds")?;
                 let secs: f64 =
@@ -573,7 +574,6 @@ fn run_work(options: &Options) -> Result<bool, String> {
         retries: options.retries,
         retry_max_wait: Duration::from_secs(options.retry_max_wait),
         cache_bytes: options.cache_bytes,
-        prefetch: !options.no_prefetch,
         chaos: chaos(options),
         ..dist::WorkConfig::default()
     };

@@ -286,12 +286,6 @@ impl ChaosStream {
             let _ = self.inner.shutdown(Shutdown::Both);
         }
     }
-
-    /// Adjusts the wrapped socket's read timeout (chaos faults are applied
-    /// per byte moved, so retiming the socket never desynchronizes a plan).
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.set_read_timeout(timeout)
-    }
 }
 
 impl Read for ChaosStream {
@@ -402,18 +396,6 @@ pub enum RwpStream {
     Plain(TcpStream),
     /// A fault-injected transport (tests and benches only).
     Chaos(ChaosStream),
-}
-
-impl RwpStream {
-    /// Adjusts the underlying socket's read timeout — the worker's
-    /// prefetch pipeline shortens it so a finished result reaches the
-    /// coordinator while the next lease waits.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            RwpStream::Plain(stream) => stream.set_read_timeout(timeout),
-            RwpStream::Chaos(stream) => stream.set_read_timeout(timeout),
-        }
-    }
 }
 
 impl Read for RwpStream {

@@ -489,9 +489,9 @@ impl Shared {
     /// leases, then picks a shard — rendezvous-preferred, LPT-ordered —
     /// or, when the queue is dry and speculation is enabled, steals the
     /// oldest in-flight lease as a backup task.  Never blocks: `Empty`
-    /// tells the caller to poll its own socket and retry, which is what
-    /// keeps a pipelined worker's queued `OUTCOME` frames draining while
-    /// its next `LEASE` waits for work.
+    /// tells the caller to poll its own socket and retry, so a pending
+    /// `LEASE` still notices the worker hanging up, and still folds a
+    /// result the worker sent after it (PROTOCOL.md §2.1).
     fn try_claim(&self, worker: u64) -> ClaimWait {
         let mut reg = self.state.lock().expect("coordinator state poisoned");
         let now = Instant::now();
@@ -884,10 +884,11 @@ fn load_shard(shared: &Shared, job_id: u32, shard: usize) -> Option<(Message, Ar
 
 /// Ships one granted shard: `GRANT` out, then the worker's `HAVE` (cache
 /// hit — nothing moves) or `PULL` (stream the chunk train) decides
-/// whether bytes cross the wire.  A prefetching worker flushes finished
-/// results before it answers, so `OUTCOME`/`FAILED` frames may arrive
-/// first; they fold as they would outside a grant.  Returns `false` when
-/// the connection broke (the caller's post-loop requeue covers the lease).
+/// whether bytes cross the wire.  An `OUTCOME`/`FAILED` that arrives
+/// first folds as it would outside a grant: `engine work` never sends one
+/// there, but PROTOCOL.md §2.1 has the coordinator accept it.  Returns
+/// `false` when the connection broke (the caller's post-loop requeue
+/// covers the lease).
 fn send_grant(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -964,8 +965,8 @@ fn fold_result(shared: &Shared, stream: &mut TcpStream, conn: u64, result: Messa
 /// The poll cadence of a `LEASE` waiting on an empty queue: short enough
 /// that a freshly-opened job, a requeued shard, or a ripening speculation
 /// target reaches the idle worker within ~5ms, and doubling as the pacing
-/// sleep between claim attempts (each poll drains any `OUTCOME` the
-/// pipelined worker queued meanwhile).
+/// sleep between claim attempts (each poll also folds any result the
+/// worker sent after its `LEASE`).
 const CLAIM_POLL: Duration = Duration::from_millis(5);
 
 /// The read timeout of a worker connection with no claim outstanding —
@@ -974,12 +975,13 @@ const WORKER_IDLE_POLL: Duration = Duration::from_millis(500);
 
 fn serve_worker(shared: &Shared, mut stream: TcpStream, conn: u64) {
     shared.register_worker(conn);
-    // One claim may be outstanding at a time (the worker's transfer
-    // thread pipelines lease N+1 while lease N analyzes).  While it
-    // waits, the socket is polled on a short timeout so queued
-    // OUTCOME/FAILED frames keep folding — the old blocking claim would
-    // deadlock here: the coordinator waiting for the queue, the queue
-    // waiting for the outcome sitting unread in this very socket.
+    // One claim may be outstanding at a time.  While it waits, the
+    // socket is polled on a short timeout, so a hang-up is noticed and an
+    // OUTCOME/FAILED sent after the LEASE still folds (PROTOCOL.md §2.1
+    // forbids a worker to send one there, but the coordinator accepts
+    // it): a blocking claim would deadlock on such a peer, the
+    // coordinator waiting for the queue and the queue waiting for the
+    // result sitting unread in this very socket.
     let mut pending_lease = false;
     let mut fast_poll = false;
     'conn: loop {

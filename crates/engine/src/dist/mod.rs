@@ -41,14 +41,12 @@
 //!   order, and answers `REPORT` per job without shutting down.  The
 //!   scheduling model is specified in `docs/PLACEMENT.md`.
 //! * [`worker`] — `engine work` and `engine submit`: a [`RemoteQueue`]
-//!   per connection that claims leased shards, analyzes each with the
-//!   same [`analyze_shard`](crate::driver::analyze_shard) as the local
-//!   pool and submits the result (reconnecting with capped exponential
-//!   backoff when the coordinator drops), with an optional
-//!   content-addressed [`ShardCache`] and a prefetch pipeline that
-//!   overlaps the next lease's transfer with the current shard's
-//!   analysis, and the submit client that opens jobs, streams shards,
-//!   and fetches per-job merged reports.
+//!   per connection that runs one loop — claim a leased shard, analyze it
+//!   with the same [`analyze_shard`](crate::driver::analyze_shard) as the
+//!   local pool, submit the result, claim again — reconnecting with
+//!   capped exponential backoff when the coordinator drops, with an
+//!   optional content-addressed [`ShardCache`]; and the submit client
+//!   that opens jobs, streams shards, and fetches per-job merged reports.
 //!
 //! # Distributed ≡ local
 //!

@@ -1,18 +1,17 @@
 //! The worker side of the distributed driver: a TCP [`RemoteQueue`] that
 //! claims leased shards and submits their results, with a bounded
 //! content-addressed shard cache (grants whose bytes are resident answer
-//! `HAVE` and skip the pull); the `engine work` loops, each a plain claim →
-//! [`analyze_shard`] → submit loop, either blocking or behind a prefetch
-//! pipeline that fetches lease N+1 while lease N analyzes, with
-//! capped-exponential reconnect backoff; and the `engine submit` client
-//! that opens named jobs, streams shards as chunks, and fetches per-job
-//! reports.
+//! `HAVE` and skip the pull); the `engine work` loop, one claim →
+//! [`analyze_shard`] → submit cycle per connection, so each grant is
+//! answered before the next `LEASE`, with capped-exponential reconnect
+//! backoff; and the `engine submit` client that opens named jobs, streams
+//! shards as chunks, and fetches per-job reports.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rapid_trace::format::TextFormat;
@@ -218,7 +217,7 @@ impl ShardCache {
 /// thread so lease bookkeeping stays per-connection.
 pub struct RemoteQueue {
     addr: String,
-    stream: Mutex<RwpStream>,
+    stream: RwpStream,
     /// Override for both the lease wait and the chunk wait — chaos tests
     /// bound stall scenarios with it; `None` keeps the production
     /// [`LEASE_PATIENCE`]/[`CHUNK_PATIENCE`].
@@ -251,12 +250,7 @@ impl RemoteQueue {
     ) -> Result<(Self, u32), String> {
         let handshake_patience = patience.map_or(HANDSHAKE_PATIENCE, |p| p.min(HANDSHAKE_PATIENCE));
         let (stream, jobs_hint) = handshake(addr, Role::Worker, handshake_patience, plan)?;
-        let queue = RemoteQueue {
-            addr: addr.to_owned(),
-            stream: Mutex::new(stream),
-            patience,
-            cache: None,
-        };
+        let queue = RemoteQueue { addr: addr.to_owned(), stream, patience, cache: None };
         Ok((queue, jobs_hint))
     }
 
@@ -273,27 +267,22 @@ impl RemoteQueue {
         DriverError { path: PathBuf::from(&self.addr), message }
     }
 
-    /// One `LEASE` round-trip on an already-locked stream.  `drain` runs
-    /// before the lease goes out and again on every idle tick of the
-    /// grant wait — the prefetch pump flushes finished results through
-    /// it, because the coordinator may be holding this very lease open
-    /// while it waits for one of them.  `STALE` acks (the non-fatal
-    /// answer to a result whose shard already folded elsewhere) are
-    /// dropped wherever they surface.
-    fn claim_on(
-        &self,
-        stream: &mut RwpStream,
-        drain: &mut dyn FnMut(&mut RwpStream) -> Result<(), DriverError>,
-    ) -> Result<Option<WorkItem>, DriverError> {
-        drain(stream)?;
-        proto::write_message(stream, &Message::Lease)
+    /// Claims the next shard; `Ok(None)` means the coordinator said `DONE`
+    /// and the worker should stop.  `STALE` acks (the non-fatal answer to
+    /// a result whose shard already folded elsewhere) are dropped while the
+    /// grant is awaited.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, rendered against the coordinator's address.
+    pub fn claim(&mut self) -> Result<Option<WorkItem>, DriverError> {
+        proto::write_message(&mut self.stream, &Message::Lease)
             .map_err(|error| self.transport_error(error.to_string()))?;
         let lease_patience = self.patience.unwrap_or(LEASE_PATIENCE);
         let chunk_patience = self.patience.unwrap_or(CHUNK_PATIENCE);
         let deadline = Instant::now() + lease_patience;
         loop {
-            drain(stream)?;
-            match proto::read_message(stream) {
+            match proto::read_message(&mut self.stream) {
                 Ok(Incoming::Message(Message::Grant {
                     job,
                     shard,
@@ -304,7 +293,7 @@ impl RemoteQueue {
                     content,
                 })) => {
                     if let Some(cached) = self.cache.as_ref().and_then(|cache| cache.get(content)) {
-                        proto::write_message(stream, &Message::Have { job, shard })
+                        proto::write_message(&mut self.stream, &Message::Have { job, shard })
                             .map_err(|error| self.transport_error(error.to_string()))?;
                         return Ok(Some(WorkItem {
                             job,
@@ -314,10 +303,11 @@ impl RemoteQueue {
                             spec,
                         }));
                     }
-                    proto::write_message(stream, &Message::Pull { job, shard })
+                    proto::write_message(&mut self.stream, &Message::Pull { job, shard })
                         .map_err(|error| self.transport_error(error.to_string()))?;
-                    let bytes = proto::read_chunks(stream, job, shard, chunks, chunk_patience)
-                        .map_err(|error| self.transport_error(error.to_string()))?;
+                    let bytes =
+                        proto::read_chunks(&mut self.stream, job, shard, chunks, chunk_patience)
+                            .map_err(|error| self.transport_error(error.to_string()))?;
                     // The grant's content id gates the cache: bytes that
                     // do not match it must never enter under that key —
                     // and a coordinator shipping different bytes than it
@@ -363,10 +353,14 @@ impl RemoteQueue {
         }
     }
 
-    /// Sends one finished result on an already-locked stream.
-    fn submit_on(
-        &self,
-        stream: &mut RwpStream,
+    /// Returns one claimed shard's result (or its analysis error) to the
+    /// coordinator.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures, rendered against the coordinator's address.
+    pub fn submit(
+        &mut self,
         job: u32,
         shard: u32,
         result: Result<ShardRun, DriverError>,
@@ -388,142 +382,21 @@ impl RemoteQueue {
             },
             Err(error) => Message::Failed { job, shard, message: error.message },
         };
-        proto::write_message(stream, &message)
+        proto::write_message(&mut self.stream, &message)
             .map_err(|error| self.transport_error(error.to_string()))
-    }
-
-    /// Claims the next shard; `Ok(None)` means the coordinator said `DONE`
-    /// and the worker should stop.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, rendered against the coordinator's address.
-    pub fn claim(&self) -> Result<Option<WorkItem>, DriverError> {
-        let mut stream = self.stream.lock().expect("remote queue poisoned");
-        self.claim_on(&mut stream, &mut |_| Ok(()))
-    }
-
-    /// Returns one claimed shard's result (or its analysis error) to the
-    /// coordinator.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, rendered against the coordinator's address.
-    pub fn submit(
-        &self,
-        job: u32,
-        shard: u32,
-        result: Result<ShardRun, DriverError>,
-    ) -> Result<(), DriverError> {
-        let mut stream = self.stream.lock().expect("remote queue poisoned");
-        self.submit_on(&mut stream, job, shard, result)
     }
 }
 
-/// The blocking worker loop: claim a shard, analyze it, submit the result,
-/// until the coordinator says `DONE`.
-fn drive_blocking(queue: &RemoteQueue) -> Result<QueueStats, DriverError> {
+/// The worker loop: claim a shard, analyze it, submit the result, until
+/// the coordinator says `DONE`.  Each grant is answered before the next
+/// `LEASE` goes out (PROTOCOL.md §2.1).
+fn drive(queue: &mut RemoteQueue) -> Result<QueueStats, DriverError> {
     let mut stats = QueueStats::default();
     while let Some(item) = queue.claim()? {
         let (job, shard) = (item.job, item.shard);
         queue.submit(job, shard, analyze(item, &mut stats))?;
     }
     Ok(stats)
-}
-
-/// One `(job, shard, result)` triple crossing the pipeline's result
-/// channel.
-type PipelineResult = (u32, u32, Result<ShardRun, DriverError>);
-
-/// The I/O half of the prefetch pipeline: claims lease N+1 while the
-/// analysis thread works on lease N, flushing finished results to the
-/// coordinator between lease polls.  Any transport error lands in
-/// `failure` before the item channel closes (the channel sender is owned
-/// here and drops on return).
-fn pump(
-    queue: &RemoteQueue,
-    item_tx: mpsc::SyncSender<Option<WorkItem>>,
-    result_rx: mpsc::Receiver<PipelineResult>,
-    failure: &Mutex<Option<DriverError>>,
-) {
-    if let Err(error) = pump_io(queue, &item_tx, &result_rx) {
-        *failure.lock().expect("pipeline poisoned") = Some(error);
-    }
-}
-
-/// The poll cadence of the pipelined connection: short enough that a
-/// result finishing while the next lease waits on an empty queue reaches
-/// the coordinator within ~5ms — the coordinator may be holding that
-/// very lease open until the result folds.
-const PIPELINE_POLL: Duration = Duration::from_millis(5);
-
-fn pump_io(
-    queue: &RemoteQueue,
-    item_tx: &mpsc::SyncSender<Option<WorkItem>>,
-    result_rx: &mpsc::Receiver<PipelineResult>,
-) -> Result<(), DriverError> {
-    {
-        let stream = queue.stream.lock().expect("remote queue poisoned");
-        let _ = stream.set_read_timeout(Some(PIPELINE_POLL));
-    }
-    loop {
-        let item = {
-            let mut stream = queue.stream.lock().expect("remote queue poisoned");
-            queue.claim_on(&mut stream, &mut |stream| {
-                while let Ok((job, shard, result)) = result_rx.try_recv() {
-                    queue.submit_on(stream, job, shard, result)?;
-                }
-                Ok(())
-            })?
-        };
-        let done = item.is_none();
-        if item_tx.send(item).is_err() {
-            // The analysis side bailed; its own error is already on
-            // record and there is nobody left to feed.
-            return Ok(());
-        }
-        if done {
-            // The rendezvous send above returned only after analysis
-            // consumed the end marker, so every result it will ever
-            // produce is already in the channel.  Flush the tail.
-            let mut stream = queue.stream.lock().expect("remote queue poisoned");
-            while let Ok((job, shard, result)) = result_rx.try_recv() {
-                queue.submit_on(&mut stream, job, shard, result)?;
-            }
-            return Ok(());
-        }
-    }
-}
-
-/// The prefetch worker loop: an I/O thread ([`pump`]) owns `queue`'s
-/// connection and keeps one lease in flight ahead of the analysis running
-/// on the calling thread, which receives each claimed shard, analyzes it,
-/// and sends the result back without ever blocking on the network.  The
-/// item channel is a rendezvous (sized zero), so the pump stays exactly one
-/// lease ahead of analysis — enough to overlap transfer with detector
-/// compute, never enough to hoard shards a second worker could run.
-fn drive_pipelined(queue: &RemoteQueue) -> Result<QueueStats, DriverError> {
-    let (item_tx, item_rx) = mpsc::sync_channel(0);
-    let (result_tx, result_rx) = mpsc::channel();
-    // The pump's transport error, recorded *before* it closes the item
-    // channel so the analysis side wakes to the cause.
-    let failure = Mutex::new(None);
-    let closed = || {
-        failure.lock().expect("pipeline poisoned").take().unwrap_or_else(|| DriverError {
-            path: PathBuf::from(&queue.addr),
-            message: "prefetch pipeline closed unexpectedly".to_owned(),
-        })
-    };
-    std::thread::scope(|scope| {
-        let failure = &failure;
-        scope.spawn(move || pump(queue, item_tx, result_rx, failure));
-        let mut stats = QueueStats::default();
-        while let Some(item) = item_rx.recv().map_err(|_| closed())? {
-            let (job, shard) = (item.job, item.shard);
-            result_tx.send((job, shard, analyze(item, &mut stats))).map_err(|_| closed())?;
-        }
-        Ok(stats)
-    })
 }
 
 /// Configuration of one `engine work` invocation.
@@ -546,10 +419,6 @@ pub struct WorkConfig {
     /// connections *and* reconnect attempts (LRU by content id); 0
     /// disables caching and every grant pulls its chunks.
     pub cache_bytes: usize,
-    /// Double-buffer each connection: an I/O thread claims and fetches
-    /// lease N+1 while lease N analyzes, overlapping transfer with
-    /// detector compute.
-    pub prefetch: bool,
     /// Test/bench-only fault injection on this worker's connections
     /// (default off).  Connections are numbered 0, 1, … across reconnect
     /// attempts, so a schedule can hit the first connection and spare the
@@ -559,8 +428,8 @@ pub struct WorkConfig {
 
 impl Default for WorkConfig {
     /// No reconnects (fail fast — the library default; the CLI layers its
-    /// own default of 3 retries on top), 30-second backoff cap, no cache,
-    /// no prefetch (the CLI enables both by default).
+    /// own default of 3 retries on top), 30-second backoff cap, no cache
+    /// (the CLI defaults to 64 MiB).
     fn default() -> Self {
         WorkConfig {
             jobs: None,
@@ -568,7 +437,6 @@ impl Default for WorkConfig {
             retry_max_wait: Duration::from_secs(30),
             patience: None,
             cache_bytes: 0,
-            prefetch: false,
             chaos: ChaosConfig::default(),
         }
     }
@@ -589,10 +457,9 @@ pub struct WorkSummary {
 }
 
 /// One connection-fleet attempt: `jobs` threads, each with its own
-/// connection, running the blocking or the prefetch loop until `DONE` or
-/// a transport failure.  Returns the thread count used, the stats
-/// accumulated, and whether every thread ended cleanly (coordinator said
-/// `DONE`).
+/// connection, running the worker loop until `DONE` or a transport
+/// failure.  Returns the thread count used, the stats accumulated, and
+/// whether every thread ended cleanly (coordinator said `DONE`).
 fn work_attempt(
     addr: &str,
     config: &WorkConfig,
@@ -621,12 +488,11 @@ fn work_attempt(
                 let run = || -> Result<QueueStats, String> {
                     let plan = config.chaos.plan_for(conn_seq.fetch_add(1, Ordering::Relaxed));
                     let (queue, _) = RemoteQueue::connect_with(addr, config.patience, plan)?;
-                    let queue = match cache {
+                    let mut queue = match cache {
                         Some(cache) => queue.with_cache(Arc::clone(cache)),
                         None => queue,
                     };
-                    let drive = if config.prefetch { drive_pipelined } else { drive_blocking };
-                    drive(&queue).map_err(|error| error.to_string())
+                    drive(&mut queue).map_err(|error| error.to_string())
                 };
                 match run() {
                     Ok(stats) => total.lock().expect("stats poisoned").absorb(stats),

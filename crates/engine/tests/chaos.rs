@@ -84,9 +84,9 @@ fn local_run(paths: &[PathBuf], jobs: usize) -> MultiReport {
 /// The chaos differential scenario: a one-shot coordinator with a short
 /// lease timeout and speculation armed, one clean worker (guaranteed
 /// progress), one chaotic worker whose every leasing connection runs
-/// under `chaos`, and a clean bounded submit.  Both workers run with the
-/// full scheduling surface on — shard caching *and* prefetch pipelining —
-/// so the whole PR-9 feature set is exercised under faults at once.
+/// under `chaos`, and a clean bounded submit.  Both workers cache shards
+/// and the coordinator arms speculation, so the whole scheduling surface
+/// is exercised under faults at once.
 /// Asserts the full verdict-preservation contract against the local
 /// `jobs = 1` ground truth, plus the scheduling-metrics invariants.
 fn assert_chaotic_worker_preserves_verdict(tag: &str, traces: &[Trace], chaos: ChaosConfig) {
@@ -118,7 +118,6 @@ fn assert_chaotic_worker_preserves_verdict(tag: &str, traces: &[Trace], chaos: C
             retries: 5,
             retry_max_wait: Duration::from_millis(250),
             cache_bytes: 8 << 20,
-            prefetch: true,
             ..WorkConfig::default()
         };
         dist::work(&clean_addr, &config).expect("the clean worker completes")
@@ -133,7 +132,6 @@ fn assert_chaotic_worker_preserves_verdict(tag: &str, traces: &[Trace], chaos: C
             // typed errors in seconds, not the production hour.
             patience: Some(Duration::from_secs(1)),
             cache_bytes: 8 << 20,
-            prefetch: true,
             chaos,
         };
         dist::work(&chaotic_addr, &config)
@@ -485,7 +483,7 @@ fn bit_flipped_chunk_is_a_typed_error_and_the_lease_requeues() {
         // Byte 600 of the read direction is well past WELCOME + GRANT and
         // inside the single chunk frame's payload.
         let plan = FaultPlan::clean().with_read(600, FaultAction::Flip { bit: 2 });
-        let (sabotaged, _) =
+        let (mut sabotaged, _) =
             RemoteQueue::connect_with(&addr, Some(Duration::from_secs(10)), Some(plan))
                 .expect("sabotaged worker handshakes (the flip is past the handshake)");
         let error = sabotaged.claim().expect_err("a flipped chunk must not decode");
@@ -499,7 +497,7 @@ fn bit_flipped_chunk_is_a_typed_error_and_the_lease_requeues() {
         drop(sabotaged);
 
         // A clean re-lease ships byte-identical content.
-        let (clean, _) = RemoteQueue::connect(&addr).expect("clean worker handshakes");
+        let (mut clean, _) = RemoteQueue::connect(&addr).expect("clean worker handshakes");
         let item = clean
             .claim()
             .expect("the requeued shard re-leases")

@@ -17,7 +17,7 @@
 
 mod common;
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -656,12 +656,13 @@ fn outcome_message(local: &MultiReport, job: u32, shard: u32) -> proto::Message 
 
 #[test]
 fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
-    // The prefetch-pipeline bugfix pinned on raw RWP: a prefetching worker
-    // flushes finished results before every read, so lease N's OUTCOME can
-    // arrive after GRANT N+1 and before its PULL.  The coordinator must fold
-    // it and keep serving the grant, not drop the connection.
+    // PROTOCOL.md §2.1 on raw RWP: a worker must answer each GRANT before
+    // its next LEASE, but a coordinator folds a result that arrives late —
+    // here lease N's OUTCOME after GRANT N+1 and before its PULL.  The
+    // coordinator must fold it and keep serving the grant, not drop the
+    // connection.
     let traces = [racy_trace("x", "A:1", "A:2"), racy_trace("y", "B:1", "B:2")];
-    let paths = write_shards("pipelined", &traces);
+    let paths = write_shards("early-outcome", &traces);
     let jobs1 = local_run(&paths, &spec(), 1);
 
     let coordinator =
@@ -673,7 +674,7 @@ fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
     let submit_paths = paths.clone();
     let submit = std::thread::spawn(move || {
         let config = SubmitConfig {
-            job: Some("pipelined".to_owned()),
+            job: Some("early-outcome".to_owned()),
             paths: submit_paths,
             spec: spec(),
             ..SubmitConfig::default()
@@ -683,7 +684,7 @@ fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
 
     let mut worker = TcpStream::connect(addr).expect("worker connects");
     let (job, first, _) = lease_one(&mut worker);
-    proto::write_message(&mut worker, &proto::Message::Lease).expect("prefetch lease");
+    proto::write_message(&mut worker, &proto::Message::Lease).expect("second lease");
     let (second, chunks, content) =
         match proto::expect_message(&mut worker, Duration::from_secs(10)).expect("grant") {
             proto::Message::Grant { job: granted, shard, chunks, content, .. } => {
@@ -705,13 +706,101 @@ fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
 
     let report = submit.join().expect("submit thread");
     for (baseline, remote) in jobs1.merged.iter().zip(&report.merged) {
-        assert_eq!(baseline.outcome, remote.outcome, "the pipelined fold diverged");
+        assert_eq!(baseline.outcome, remote.outcome, "the early-outcome fold diverged");
         assert_eq!(remote.outcome.shards, paths.len());
     }
     drop(worker);
     dist::shutdown(&addr_string).expect("coordinator drains");
     serve.join().expect("serve thread");
     cleanup(&paths);
+}
+
+#[test]
+fn worker_answers_each_grant_before_its_next_lease() {
+    // PROTOCOL.md §2.1 on the worker side: a worker answers each GRANT
+    // with one HAVE or PULL and then one OUTCOME, all before its next
+    // LEASE.  A fake coordinator speaking raw RWP grants one shard twice
+    // under one content id (the second grant is a cache hit), then says
+    // DONE, and records every frame the worker sends.
+    with_deadline("grant ordering", Duration::from_secs(60), || {
+        let paths = write_shards("grant-order", &[racy_trace("x", "A:1", "A:2")]);
+        let local = local_run(&paths, &spec(), 1);
+        let bytes = std::fs::read(&paths[0]).expect("shard reads");
+        let content = proto::ContentId::of(&bytes);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("fake coordinator binds");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let worker = std::thread::spawn(move || {
+            let config =
+                WorkConfig { jobs: Some(1), cache_bytes: 1 << 20, ..WorkConfig::default() };
+            dist::work(&addr, &config)
+        });
+
+        let patience = Duration::from_secs(10);
+        let accept = || {
+            let (mut stream, _) = listener.accept().expect("worker connects");
+            stream.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+            match proto::expect_message(&mut stream, patience).expect("hello") {
+                proto::Message::Hello { role: proto::Role::Worker } => {}
+                other => panic!("expected HELLO(worker), got {other:?}"),
+            }
+            proto::write_message(&mut stream, &proto::Message::Welcome { jobs_hint: 0 })
+                .expect("welcome");
+            stream
+        };
+        // `work` learns the parallelism hint on a probe connection of its
+        // own, then leases on a second one.
+        drop(accept());
+        let mut stream = accept();
+
+        let mut grants = (0..2).map(|shard| proto::Message::Grant {
+            job: 0,
+            shard,
+            name: paths[0].display().to_string(),
+            text: TextFormat::from_path(&paths[0]),
+            spec: spec(),
+            chunks: proto::chunk_count(bytes.len() as u64, proto::CHUNK_LEN),
+            content,
+        });
+        let mut frames = Vec::new();
+        let mut outcomes = Vec::new();
+        loop {
+            match proto::expect_message(&mut stream, patience).expect("the worker's next frame") {
+                proto::Message::Lease => {
+                    frames.push("LEASE");
+                    let Some(grant) = grants.next() else {
+                        proto::write_message(&mut stream, &proto::Message::Done).expect("done");
+                        break;
+                    };
+                    proto::write_message(&mut stream, &grant).expect("grant writes");
+                }
+                proto::Message::Pull { job, shard } => {
+                    frames.push("PULL");
+                    proto::write_chunks(&mut stream, job, shard, &bytes, proto::CHUNK_LEN)
+                        .expect("chunks write");
+                }
+                proto::Message::Have { .. } => frames.push("HAVE"),
+                proto::Message::Outcome { shard, events, runs, .. } => {
+                    frames.push("OUTCOME");
+                    outcomes.push((shard, events, runs));
+                }
+                other => panic!("unexpected frame from the worker: {other:?}"),
+            }
+        }
+        let summary = worker.join().expect("worker thread").expect("worker completes");
+        drop(stream);
+        cleanup(&paths);
+
+        assert_eq!(frames, ["LEASE", "PULL", "OUTCOME", "LEASE", "HAVE", "OUTCOME", "LEASE"]);
+        assert_eq!(summary.stats.shards, 2);
+        let expected = &local.shards[0];
+        for (index, (shard, events, runs)) in outcomes.into_iter().enumerate() {
+            assert_eq!(shard, index as u32);
+            assert_eq!(events, expected.events as u64);
+            let outcomes: Vec<_> = runs.into_iter().map(|run| run.outcome).collect();
+            let baseline: Vec<_> = expected.runs.iter().map(|run| run.outcome.clone()).collect();
+            assert_eq!(outcomes, baseline, "grant {index}'s OUTCOME differs from run_shards");
+        }
+    });
 }
 
 #[test]
@@ -934,49 +1023,6 @@ fn worker_cache_is_keyed_by_content_not_job_identity() {
     serve.join().expect("serve thread");
     cleanup(&first_paths);
     cleanup(&second_paths);
-}
-
-#[test]
-fn prefetch_pipeline_matches_the_blocking_worker() {
-    // The prefetch pipeline (transfer of lease N+1 overlapped with the
-    // analysis of lease N) must be invisible in every result: same merged
-    // outcomes, same rendered race pairs, same shard accounting.
-    let traces = [
-        racy_trace("x", "A:1", "A:2"),
-        racy_trace("y", "B:1", "B:2"),
-        racy_trace("z", "C:1", "C:2"),
-        racy_trace("x", "A:1", "A:2"),
-    ];
-    let paths = write_shards("prefetch", &traces);
-    let jobs1 = local_run(&paths, &spec(), 1);
-
-    let config = ServeConfig { spec: spec(), once: true, ..ServeConfig::default() };
-    let coordinator = Coordinator::bind(&paths, &config).expect("coordinator binds");
-    let addr = coordinator.local_addr().to_string();
-    let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
-    let worker_addr = addr.clone();
-    let worker = std::thread::spawn(move || {
-        let config = WorkConfig {
-            jobs: Some(2),
-            prefetch: true,
-            cache_bytes: 1 << 20,
-            ..WorkConfig::default()
-        };
-        dist::work(&worker_addr, &config).expect("worker completes")
-    });
-
-    let report = dist::submit(&addr, &SubmitConfig::default()).expect("submit succeeds");
-    worker.join().expect("worker thread");
-    serve.join().expect("serve thread");
-
-    let rendered = Engine::render_race_pairs(&jobs1.merged);
-    assert_eq!(rendered, Engine::render_race_pairs(&report.merged));
-    for (baseline, remote) in jobs1.merged.iter().zip(&report.merged) {
-        assert_eq!(baseline.outcome, remote.outcome, "the prefetch pipeline changed a verdict");
-        assert_eq!(remote.outcome.shards, paths.len());
-    }
-    assert_eq!(report.scheduling.get("leases_stolen"), Some(0.0));
-    cleanup(&paths);
 }
 
 proptest! {

@@ -21,7 +21,9 @@
 //!   argument), so an open acquire is queued as its owner's local time;
 //! * one lock's releases form an HB chain, so the release time of the last
 //!   section a walk consumes dominates every earlier one and is joined
-//!   once, when the walk stops (the private `LockHistory` docs).
+//!   once, when the walk stops; it never decides a later entry's test,
+//!   because it knows no event of that entry's owner at or after the
+//!   entry's acquire (the private `LockHistory` docs).
 //!
 //! Verdicts, timestamps and counters equal the paper's on such traces; on
 //! traces that fail `validate` they may differ.
@@ -290,7 +292,9 @@ impl Releases {
 /// knows an event `e` of `u` with `C_e ⊑ C_b` that ends the run of local
 /// time `N_a` or comes later (a release, a fork, or `u`'s last event before
 /// a join), so `a ≤HB e` and then `a ≤WCP b`.  The acquire is therefore
-/// stored as the scalar `N_u`.
+/// stored as the scalar `N_u`, and a release of `t` tests it against
+/// `P_t[u]` alone: the release times of the sections the same walk
+/// consumed before it never decide (see [`LockHistory`]).
 #[derive(Debug, Clone)]
 struct SectionEntry {
     thread: ThreadId,
@@ -320,9 +324,14 @@ struct SectionEntry {
 /// [`Trace::validate`] those releases form an HB chain (each acquire joins
 /// the previous release's `H_l`), so the `H_rel` of the last consumed
 /// section dominates every earlier one: `P_t ⊔ H_last` is the clock the
-/// paper's per-entry joins build, the next entry of owner `u` is tested
-/// against its component `max(P_t[u], H_last[u])`, and `H_last` is joined
-/// into `P_t` once when the walk stops.
+/// paper's per-entry joins build, and `H_last` is joined into `P_t` once
+/// when the walk stops.  The next entry, of owner `u` with acquire time
+/// `N_acq`, is tested against `P_t[u]` alone, because `H_last[u] < N_acq`:
+/// the entry's acquire of the lock comes after every release of it the
+/// walk consumed, and an HB path out of `u` into such a release starts at
+/// a release or fork by `u`, which ticks `N_u` before `u`'s next event
+/// (a path through a join would end `u`, which then acquires nothing).
+/// So `(P_t ⊔ H_last)[u] ≥ N_acq` exactly when `P_t[u] ≥ N_acq`.
 #[derive(Debug, Default)]
 struct LockHistory {
     /// Absolute index of `entries.front()`.
@@ -564,9 +573,10 @@ impl WcpState {
         // Rule (b): consume critical sections (of other threads) whose
         // acquire is already WCP-before this release.  `last` is the release
         // time of the last section consumed so far, which dominates every
-        // earlier one (see `LockHistory`), so an entry of owner `u` is
-        // consumed when `N_acq ≤ (P_t ⊔ last)[u]`, and `last` is joined into
-        // `P_t` once, after the walk.  `clock_joins` still counts one join
+        // earlier one and is joined into `P_t` once, after the walk.  An
+        // entry of owner `u` is consumed when `N_acq ≤ P_t[u]`: `last[u]`
+        // is always below a later entry's `N_acq` (see `LockHistory`), so
+        // it never decides the test.  `clock_joins` still counts one join
         // per consumed section, as the paper's algorithm performs.
         {
             let WcpState { locks, wcp, stats, queue_entries, .. } = self;
@@ -575,9 +585,7 @@ impl WcpState {
             let mut last: Option<&VectorClock> = None;
             for entry in history.entries.iter().skip(cursor - history.base) {
                 if entry.thread != thread {
-                    let owner = entry.thread;
-                    let known = wcp[index].get(owner).max(last.map_or(0, |hb| hb.get(owner)));
-                    if entry.acq > known {
+                    if entry.acq > wcp[index].get(entry.thread) {
                         break;
                     }
                     stats.clock_joins += 1;
