@@ -6,7 +6,6 @@
 //! engine stream  <file> [--format std|csv] [--detectors wcp,hb,fasttrack,mcm]
 //!                       [--window N] [--timeout SECS] [--races] [--quiet]
 //!                       [--fail-on-race]
-//! engine batch   <file> [same flags]      # parse fully, then analyze (for comparison)
 //! engine multi   <files-or-dirs...> [--jobs N] [--per-shard] [same flags]
 //!                                         # one engine per shard on a worker pool,
 //!                                         # outcomes merged by location/variable names
@@ -39,13 +38,13 @@
 //! `multi`, `serve` and `submit` also accept shard *directories*, expanded
 //! to the `.rwf`/`.csv`/`.std` files they contain in sorted name order (and
 //! erroring on a directory with no trace files — no silent empty runs).
-//! Every file streams through one small buffer, so a trace of any size
+//! Every file streams through small reused buffers, so a trace of any size
 //! needs no more memory than the detectors' state and the name tables.
-//! Pipes work too (`cat t.rwf | engine stream /dev/stdin`); text streams
-//! from them, a `.rwf` is read whole first.  With `--races`, `stream`
-//! prints each race the moment a detector flags it, and every analyzing
-//! mode prints the final merged race pairs; `--quiet` suppresses the online
-//! lines.  With `--fail-on-race` the process exits with code **2** when any
+//! Pipes work too (`cat t.rwf | engine stream /dev/stdin`) and stream the
+//! same way, `.rwf` included.  With `--races`, `stream` prints each race
+//! the moment a detector flags it, and every analyzing mode prints the
+//! final merged race pairs; `--quiet` suppresses the online lines.  With
+//! `--fail-on-race` the process exits with code **2** when any
 //! detector reports a race (exit 1 stays reserved for errors), so CI
 //! pipelines can gate on detection results — `serve` and `submit` apply it
 //! to the *merged* reports, so a race on any shard of any job trips it.
@@ -73,14 +72,14 @@ use std::time::Duration;
 
 use rapid_engine::dist::{self, ServeConfig};
 use rapid_engine::driver::{self, DriverConfig};
-use rapid_engine::{Detector, DetectorRun, DetectorSpec, Engine};
+use rapid_engine::{DetectorRun, DetectorSpec, Engine};
 use rapid_mcm::McmConfig;
 use rapid_trace::format::{self, AnyReader, StreamNames, TextFormat};
 use rapid_trace::{NameResolver, Race};
 
 struct Options {
     mode: String,
-    /// Positional arguments: one file for stream/batch, input+output for
+    /// Positional arguments: one file for stream, input+output for
     /// convert, one or more shard files or directories for multi, zero or
     /// more for serve, a coordinator address for work/submit/shutdown
     /// (submit takes shard files after the address).
@@ -107,7 +106,7 @@ struct Options {
     chaos_seed: Option<u64>,
 }
 
-const USAGE: &str = "usage: engine <stream|batch> <file> [--format std|csv] \
+const USAGE: &str = "usage: engine stream <file> [--format std|csv] \
 [--detectors wcp,hb,fasttrack,mcm] [--window N] [--timeout SECS] \
 [--races] [--quiet] [--fail-on-race]\n       engine multi <files-or-dirs...> [--jobs N] \
 [--per-shard] [same flags]\n       engine serve [files-or-dirs...] --bind ADDR [--once] \
@@ -131,7 +130,7 @@ fn parse_args() -> Result<Options, String> {
     }
     if !matches!(
         mode.as_str(),
-        "stream" | "batch" | "multi" | "convert" | "serve" | "work" | "submit" | "shutdown"
+        "stream" | "multi" | "convert" | "serve" | "work" | "submit" | "shutdown"
     ) {
         return Err(format!("unknown mode `{mode}`\n{USAGE}"));
     }
@@ -299,18 +298,9 @@ fn spec(options: &Options) -> DetectorSpec {
     }
 }
 
-/// Validates the detector list once up front (so worker factories can't
-/// fail) and builds one fresh detector set.  `threads` pre-registers a known
-/// thread count (batch mode) so the streaming cores reproduce the library
-/// batch entry points exactly; stream/multi pass 0 and discover threads from
-/// the file.
-fn build_detectors(options: &Options, threads: usize) -> Result<Vec<Box<dyn Detector>>, String> {
-    spec(options).build_with_threads(threads)
-}
-
-fn build_engine(options: &Options, threads: usize) -> Result<Engine, String> {
+fn build_engine(options: &Options) -> Result<Engine, String> {
     let mut engine = Engine::new();
-    for detector in build_detectors(options, threads)? {
+    for detector in spec(options).build()? {
         engine.register(detector);
     }
     Ok(engine)
@@ -396,14 +386,15 @@ fn print_merged(options: &Options, headline: String, merged: &[DetectorRun]) {
 /// The `multi` mode: shard files onto the worker-pool driver, then render
 /// the merged report (and optionally the per-shard breakdown).
 fn run_multi(options: &Options) -> Result<bool, String> {
-    // Validate the detector list before spawning anything.
-    build_detectors(options, 0)?;
+    // Validate the detector list before spawning anything, so the worker
+    // factory cannot fail.
+    spec(options).validate()?;
     let paths = shard_paths(options)?;
     let config = DriverConfig {
         jobs: options.jobs.unwrap_or_else(driver::available_jobs),
         text: text_override(options),
     };
-    let factory = || build_detectors(options, 0).expect("detector list validated above");
+    let factory = || spec(options).build().expect("detector list validated above");
     let report = driver::run_shards(&paths, factory, &config)
         .map_err(|error| format!("cannot analyze {error}"))?;
 
@@ -633,54 +624,34 @@ fn run_shutdown(options: &Options) -> Result<bool, String> {
     Ok(false)
 }
 
-fn run(options: &Options) -> Result<bool, String> {
+/// The `stream` mode.  Single pass: file -> reader -> engine; the trace is
+/// never materialized, so memory stays bounded by detector state.
+fn run_stream(options: &Options) -> Result<bool, String> {
     let start = std::time::Instant::now();
     let path = options.paths[0].as_str();
-    let runs;
-    if options.mode == "stream" {
-        // Single pass: file -> reader -> engine; the trace is never
-        // materialized, so memory stays bounded by detector state.
-        let mut engine = build_engine(options, 0)?;
-        let mut reader = open_reader(options, path)?;
-        let source = reader.source();
-        if options.print_races && !options.quiet {
-            // Online reporting needs each event's races as they are flagged,
-            // so this path fans out one event at a time.
-            while let Some(next) = reader.next() {
-                let event = next.map_err(|error| format!("cannot parse {path}: {error}"))?;
-                engine.on_event_with(&event, |detector, race| {
-                    println!("{}", online_race_line(reader.names(), detector, race));
-                });
-            }
-        } else {
-            engine.run(&mut reader).map_err(|error| format!("cannot parse {path}: {error}"))?;
+    let mut engine = build_engine(options)?;
+    let mut reader = open_reader(options, path)?;
+    let source = reader.source();
+    if options.print_races && !options.quiet {
+        // Online reporting needs each event's races as they are flagged,
+        // so this path fans out one event at a time.
+        while let Some(next) = reader.next() {
+            let event = next.map_err(|error| format!("cannot parse {path}: {error}"))?;
+            engine.on_event_with(&event, |detector, race| {
+                println!("{}", online_race_line(reader.names(), detector, race));
+            });
         }
-        runs = engine.finish(reader.names());
-        println!(
-            "streamed {} events via {source} ({} distinct threads, {} variables) in {:.2?}",
-            engine.events_seen(),
-            reader.names().num_threads(),
-            reader.names().num_variables(),
-            start.elapsed()
-        );
     } else {
-        // Batch comparison path: materialize the trace, then drive the same
-        // engine over it.
-        let reader = open_reader(options, path)?;
-        let source = reader.source();
-        let trace =
-            format::collect_any(reader).map_err(|error| format!("cannot parse {path}: {error}"))?;
-        let mut engine = build_engine(options, trace.num_threads())?;
-        engine.run_trace(&trace);
-        runs = engine.finish(&trace);
-        println!(
-            "analyzed {} events (batch via {source}; {} threads, {} variables) in {:.2?}",
-            trace.len(),
-            trace.num_threads(),
-            trace.num_variables(),
-            start.elapsed()
-        );
+        engine.run(&mut reader).map_err(|error| format!("cannot parse {path}: {error}"))?;
     }
+    let runs = engine.finish(reader.names());
+    println!(
+        "streamed {} events via {source} ({} distinct threads, {} variables) in {:.2?}",
+        engine.events_seen(),
+        reader.names().num_threads(),
+        reader.names().num_variables(),
+        start.elapsed()
+    );
     println!();
     print!("{}", Engine::render(&runs));
     if options.print_races {
@@ -705,7 +676,7 @@ fn main() -> ExitCode {
         "work" => run_work(&options),
         "submit" => run_submit(&options),
         "shutdown" => run_shutdown(&options),
-        _ => run(&options),
+        _ => run_stream(&options),
     };
     match result {
         Ok(races) if races && options.fail_on_race => ExitCode::from(RACE_EXIT_CODE),

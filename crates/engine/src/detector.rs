@@ -66,33 +66,20 @@ impl Default for DetectorSpec {
 }
 
 impl DetectorSpec {
-    /// Builds one fresh detector set for stream contexts (threads are
-    /// discovered from the event stream).
+    /// Builds one fresh detector set (threads are discovered from the event
+    /// stream).
     ///
     /// # Errors
     ///
     /// An unknown detector name.
     pub fn build(&self) -> Result<Vec<Box<dyn Detector>>, String> {
-        self.build_with_threads(0)
-    }
-
-    /// Builds one fresh detector set, pre-registering `threads` known
-    /// threads (the batch path passes the trace's thread count so the
-    /// streaming cores reproduce the library batch entry points exactly).
-    ///
-    /// # Errors
-    ///
-    /// An unknown detector name.
-    pub fn build_with_threads(&self, threads: usize) -> Result<Vec<Box<dyn Detector>>, String> {
         self.detectors
             .iter()
             .map(|name| -> Result<Box<dyn Detector>, String> {
                 Ok(match name.as_str() {
-                    "wcp" => Box::new(rapid_wcp::WcpStream::with_threads(threads)),
-                    "hb" => Box::new(rapid_hb::HbStream::with_threads(threads)),
-                    "fasttrack" | "ft" => {
-                        Box::new(rapid_hb::FastTrackStream::with_threads(threads))
-                    }
+                    "wcp" => Box::new(rapid_wcp::WcpStream::new()),
+                    "hb" => Box::new(rapid_hb::HbStream::new()),
+                    "fasttrack" | "ft" => Box::new(rapid_hb::FastTrackStream::new()),
                     "mcm" => Box::new(rapid_mcm::McmStream::new(rapid_mcm::McmConfig::new(
                         self.window,
                         self.timeout_secs,

@@ -116,22 +116,13 @@ impl Interner {
         id
     }
 
-    fn insert(&mut self, name: &str) -> u32 {
+    /// Appends `name` under the next id, even when it is interned already:
+    /// the `.rwf` reader's tables are positional.
+    pub(crate) fn insert(&mut self, name: &str) -> u32 {
         let id = self.names.len() as u32;
         self.names.push(name.to_owned());
         self.by_name.insert(name.as_bytes().into(), id);
         id
-    }
-
-    /// Rebuilds an interner from a complete name list (ids are the list
-    /// positions) — used by the binary reader's string tables.
-    pub(crate) fn from_names(names: Vec<String>) -> Interner {
-        let by_name = names
-            .iter()
-            .enumerate()
-            .map(|(id, name)| (name.as_bytes().into(), id as u32))
-            .collect();
-        Interner { names, by_name, recent: Vec::new() }
     }
 
     pub(crate) fn len(&self) -> usize {

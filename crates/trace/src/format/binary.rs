@@ -49,7 +49,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use rapid_vc::ThreadId;
@@ -103,8 +103,8 @@ const TABLE_LOCATIONS: usize = 3;
 
 /// Events buffered before [`RwfStreamWriter`] flushes a block (about 53 KiB
 /// of frames — small enough to bound producer memory, large enough that the
-/// per-block tag overhead vanishes).  [`BinReader`] re-reads frames in runs
-/// of the same size, which bounds the reader's memory the same way.
+/// per-block tag overhead vanishes).  [`BinReader`] reads frames in runs of
+/// the same size, which bounds the reader's memory the same way.
 const DEFAULT_BLOCK_EVENTS: usize = 4096;
 
 /// Returns true when `bytes` starts with the `.rwf` magic — the sniff the
@@ -440,14 +440,9 @@ fn source_name(names: &dyn NameResolver, table: usize, raw: u32) -> Cow<'_, str>
     }
 }
 
-/// A container error at header position 0.
-fn container_error(kind: ParseErrorKind) -> ParseError {
-    ParseError { line: 0, kind }
-}
-
-/// Maps a failed read to its typed error at `line`: running out of input —
-/// a file that shrank after its length was measured — is
-/// [`ParseErrorKind::Truncated`], anything else [`ParseErrorKind::Io`].
+/// Maps a failed read to its typed error at frame `line`: running out of
+/// input is [`ParseErrorKind::Truncated`], anything else
+/// [`ParseErrorKind::Io`].
 fn read_error(error: io::Error, line: usize) -> ParseError {
     let kind = match error.kind() {
         io::ErrorKind::UnexpectedEof => ParseErrorKind::Truncated,
@@ -456,136 +451,73 @@ fn read_error(error: io::Error, line: usize) -> ParseError {
     ParseError { line, kind }
 }
 
-/// What [`BinReader`] reads from: a regular file, or bytes in memory behind
-/// an [`io::Cursor`].
-trait Source: Read + Seek + Send {}
-
-impl<T: Read + Seek + Send> Source for T {}
-
-/// The container scan's bounds-checked little-endian reader: the checks of
-/// [`wire::Cursor`], repeated over a seekable stream.  Every read is bounded
-/// by the input length measured before the scan, so a hostile count fails
-/// as `Truncated` before anything is allocated for it.
-struct Scan<'a> {
-    input: BufReader<&'a mut dyn Source>,
-    pos: u64,
-    len: u64,
+/// Reads the next `N` bytes of `input`; an error is numbered `line`.
+fn take<const N: usize>(input: &mut dyn BufRead, line: usize) -> Result<[u8; N], ParseError> {
+    let mut bytes = [0; N];
+    input.read_exact(&mut bytes).map_err(|error| read_error(error, line))?;
+    Ok(bytes)
 }
 
-impl Scan<'_> {
-    fn remaining(&self) -> u64 {
-        self.len - self.pos
-    }
-
-    /// Claims the next `len` bytes of the input.
-    fn claim(&mut self, len: u64) -> Result<(), ParseError> {
-        if len > self.remaining() {
-            return Err(container_error(ParseErrorKind::Truncated));
+/// Reads a `u32` count, then that many `u32`-length-prefixed names
+/// (invalid UTF-8 replaced, §1.4), appended to `table` in id order.
+/// Nothing is reserved for a declared count or length: buffers grow only
+/// as bytes arrive, so a hostile header fails as `Truncated` at the end of
+/// the input, having allocated no more than the input held.
+fn read_names(
+    input: &mut dyn BufRead,
+    table: &mut Interner,
+    line: usize,
+) -> Result<(), ParseError> {
+    let count = u32::from_le_bytes(take(input, line)?);
+    let mut name = Vec::new();
+    for _ in 0..count {
+        let len = u32::from_le_bytes(take(input, line)?);
+        name.clear();
+        (&mut *input)
+            .take(u64::from(len))
+            .read_to_end(&mut name)
+            .map_err(|error| read_error(error, line))?;
+        if name.len() != len as usize {
+            return Err(ParseError { line, kind: ParseErrorKind::Truncated });
         }
-        self.pos += len;
-        Ok(())
+        table.insert(&String::from_utf8_lossy(&name));
     }
+    Ok(())
+}
 
-    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], ParseError> {
-        self.claim(N as u64)?;
-        let mut bytes = [0; N];
-        self.input.read_exact(&mut bytes).map_err(|error| read_error(error, 0))?;
-        Ok(bytes)
-    }
-
-    fn u8(&mut self) -> Result<u8, ParseError> {
-        Ok(self.bytes::<1>()?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ParseError> {
-        Ok(u16::from_le_bytes(self.bytes()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, ParseError> {
-        Ok(u32::from_le_bytes(self.bytes()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, ParseError> {
-        Ok(u64::from_le_bytes(self.bytes()?))
-    }
-
-    /// A `u32`-length-prefixed name, invalid UTF-8 replaced (§1.4).
-    fn str(&mut self) -> Result<String, ParseError> {
-        let len = self.u32()?;
-        self.claim(len as u64)?;
-        let mut bytes = vec![0; len as usize];
-        self.input.read_exact(&mut bytes).map_err(|error| read_error(error, 0))?;
-        Ok(String::from_utf8_lossy(&bytes).into_owned())
-    }
-
-    /// A `u32` count, then that many names appended to `table`.  Each name
-    /// needs at least its 4-byte length prefix, which bounds the count by
-    /// the remaining input.
-    fn names(&mut self, table: &mut Vec<String>) -> Result<(), ParseError> {
-        let count = self.u32()?;
-        if count as u64 * 4 > self.remaining() {
-            return Err(container_error(ParseErrorKind::Truncated));
-        }
-        table.reserve(count as usize);
-        for _ in 0..count {
-            table.push(self.str()?);
-        }
-        Ok(())
-    }
-
-    /// Steps over `len` bytes (a frame section) without reading them.
-    fn skip(&mut self, len: u64) -> Result<(), ParseError> {
-        self.claim(len)?;
-        self.input.seek_relative(len as i64).map_err(|error| read_error(error, 0))
+/// Checks that `input` ends here: one more byte is `TrailingBytes`.
+fn expect_end(input: &mut dyn BufRead, line: usize) -> Result<(), ParseError> {
+    match input.read_exact(&mut [0]) {
+        Ok(()) => Err(ParseError { line, kind: ParseErrorKind::TrailingBytes }),
+        Err(error) if error.kind() == io::ErrorKind::UnexpectedEof => Ok(()),
+        Err(error) => Err(read_error(error, line)),
     }
 }
 
-/// One run of contiguous frames, with the name-table lengths its frames may
-/// legally reference (a v2 frame must not use a name from a *later* delta).
-/// A v1 file is a single block over the complete tables.
-#[derive(Debug, Clone, Copy)]
-struct EventBlock {
-    /// Byte offset of the block's first frame.
-    offset: u64,
-    frames: u32,
-    /// Per-table name counts visible to this block, in §3.2 table order.
-    lens: [u32; 4],
-}
-
-/// What a container scan yields: total frame count, the four complete name
-/// tables (§3.2 order), and the event blocks in file order.
-type ScannedBody = (u32, [Vec<String>; 4], Vec<EventBlock>);
-
-fn table_lens(tables: &[Vec<String>; 4]) -> [u32; 4] {
-    tables.each_ref().map(|table| table.len() as u32)
-}
-
-/// A streaming reader of wire-format traces: no string handling after the
-/// container scan, and memory bounded by the name tables plus one reused
-/// buffer of at most 4096 frames — the input is never held whole.  Accepts
-/// both the batch (v1) and streamed (v2) containers.
+/// A streaming reader of wire-format traces, of either container version.
 ///
-/// Constructors validate the container eagerly (magic, version, table
-/// layout, block structure, exact frame-section lengths, v2 END count),
-/// reading the tables and seeking over the frame sections; iteration then
-/// re-reads the frames in runs.  So iteration can only fail on out-of-range
-/// ids or op codes — or with `Truncated` if the file shrinks after the scan;
-/// the error's `line` field carries the 1-based *frame* number (0 for
-/// container errors).
+/// It reads its input once, front to back, as the text reader does: the
+/// constructor reads the header (and a v1 body's name tables), and
+/// iteration reads the rest in order — v2 NAMES deltas as they arrive,
+/// frames in runs of at most 4096 into one reused buffer, and the v2 END
+/// block, whose total must equal the frames read and after which the input
+/// must end.  Memory holds the name tables and one run, never the input,
+/// and a `.rwf` written by a live producer decodes as it arrives.
+///
+/// Every error surfaces where its bytes are read.  Its `line` field
+/// carries the 1-based number of the frame the reader was working toward:
+/// 0 for the header, and one more than the frames read after it.
 pub struct BinReader {
-    source: Box<dyn Source>,
-    frames: u32,
-    read: u32,
+    input: Box<dyn BufRead + Send>,
+    /// A v2 body is a block sequence; a v1 body is one frame section.
+    streamed: bool,
     names: StreamNames,
-    failed: bool,
-    blocks: Vec<EventBlock>,
-    next_block: usize,
-    /// Frames of the current block not yet read into `chunk`.
-    block_left: u32,
-    /// Byte offset of the current block's next unread frame.
-    offset: u64,
-    /// Id bounds for the current block's frames.
-    lens: [u32; 4],
+    /// Frames of the current section (a v2 EVENTS block, or the v1 body)
+    /// not yet read into `chunk`.
+    section_left: u32,
+    read: u32,
+    /// Set at the end of the input or after an error: the iterator is fused.
+    done: bool,
     /// The current run of frames; one buffer, reused by every refill.
     chunk: Vec<u8>,
     /// Byte offset of the next frame in `chunk`.
@@ -595,149 +527,76 @@ pub struct BinReader {
 impl fmt::Debug for BinReader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BinReader")
-            .field("frames", &self.frames)
             .field("read", &self.read)
-            .field("failed", &self.failed)
+            .field("done", &self.done)
             .finish_non_exhaustive()
     }
 }
 
 impl BinReader {
-    /// Scans the container from the start of `source` (either version).
+    /// Reads the header of a container of either version from `input`,
+    /// and a v1 body's four name tables; the rest is read while iterating.
     ///
     /// # Errors
     ///
-    /// [`ParseErrorKind::BadMagic`], [`ParseErrorKind::BadVersion`],
-    /// [`ParseErrorKind::Truncated`], [`ParseErrorKind::TrailingBytes`] or
-    /// [`ParseErrorKind::BadBlockTag`] (v2 only) when the container
-    /// structure is unsound; [`ParseErrorKind::Io`] when reading fails.
-    fn new(mut source: Box<dyn Source>) -> Result<Self, ParseError> {
-        let len = source.seek(SeekFrom::End(0)).map_err(|error| read_error(error, 0))?;
-        source.seek(SeekFrom::Start(0)).map_err(|error| read_error(error, 0))?;
-        let mut scan = Scan { input: BufReader::new(&mut *source), pos: 0, len };
-        if scan.bytes()? != MAGIC {
-            return Err(container_error(ParseErrorKind::BadMagic));
+    /// [`ParseErrorKind::BadMagic`], [`ParseErrorKind::BadVersion`] or
+    /// [`ParseErrorKind::Truncated`] when the header is unsound;
+    /// [`ParseErrorKind::Io`] when reading fails.
+    pub fn new(input: impl BufRead + Send + 'static) -> Result<Self, ParseError> {
+        let mut input: Box<dyn BufRead + Send> = Box::new(input);
+        if take::<4>(&mut *input, 0)? != MAGIC {
+            return Err(ParseError { line: 0, kind: ParseErrorKind::BadMagic });
         }
-        let version = scan.u16()?;
-        scan.u16()?; // reserved
-        let declared = scan.u32()?;
-        let (frames, tables, blocks) = match version {
-            VERSION => Self::scan_v1(&mut scan, declared)?,
-            VERSION_STREAM => Self::scan_v2(&mut scan)?,
-            other => return Err(container_error(ParseErrorKind::BadVersion(other))),
+        let version = u16::from_le_bytes(take(&mut *input, 0)?);
+        take::<2>(&mut *input, 0)?; // reserved
+        let declared = u32::from_le_bytes(take(&mut *input, 0)?);
+        let mut names = StreamNames::default();
+        let section_left = match version {
+            VERSION => {
+                for table in names.tables_mut() {
+                    read_names(&mut *input, table, 0)?;
+                }
+                declared
+            }
+            VERSION_STREAM => 0,
+            other => return Err(ParseError { line: 0, kind: ParseErrorKind::BadVersion(other) }),
         };
-        let [threads, locks, variables, locations] = tables;
         Ok(BinReader {
-            source,
-            frames,
+            input,
+            streamed: version == VERSION_STREAM,
+            names,
+            section_left,
             read: 0,
-            names: StreamNames::from_tables(threads, locks, variables, locations),
-            failed: false,
-            blocks,
-            next_block: 0,
-            block_left: 0,
-            offset: 0,
-            lens: [0; 4],
+            done: false,
             chunk: Vec::new(),
             at: 0,
         })
     }
 
-    /// Validates a v1 body — four complete tables, then exactly `declared`
-    /// frames — as one block over the full tables.
-    fn scan_v1(scan: &mut Scan<'_>, declared: u32) -> Result<ScannedBody, ParseError> {
-        let mut tables: [Vec<String>; 4] = Default::default();
-        for table in &mut tables {
-            scan.names(table)?;
-        }
-        let body = declared as u64 * FRAME_LEN as u64;
-        match scan.remaining().cmp(&body) {
-            std::cmp::Ordering::Less => return Err(container_error(ParseErrorKind::Truncated)),
-            std::cmp::Ordering::Greater => {
-                return Err(container_error(ParseErrorKind::TrailingBytes))
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        let block = EventBlock { offset: scan.pos, frames: declared, lens: table_lens(&tables) };
-        Ok((declared, tables, vec![block]))
-    }
-
-    /// Walks a v2 body block by block: NAMES deltas grow the tables, EVENTS
-    /// blocks are recorded with the table lengths *visible at that point*
-    /// (so frames cannot reference later deltas), and END must carry the
-    /// exact event total with nothing after it.
-    fn scan_v2(scan: &mut Scan<'_>) -> Result<ScannedBody, ParseError> {
-        let mut tables: [Vec<String>; 4] = Default::default();
-        let mut blocks = Vec::new();
-        let mut total: u64 = 0;
-        loop {
-            match scan.u8()? {
-                BLOCK_NAMES => {
-                    let index = scan.u8()?;
-                    let Some(table) = tables.get_mut(index as usize) else {
-                        return Err(container_error(ParseErrorKind::BadBlockTag(index)));
-                    };
-                    scan.names(table)?;
-                }
-                BLOCK_EVENTS => {
-                    let count = scan.u32()?;
-                    let offset = scan.pos;
-                    scan.skip(count as u64 * FRAME_LEN as u64)?;
-                    blocks.push(EventBlock { offset, frames: count, lens: table_lens(&tables) });
-                    total += count as u64;
-                }
-                BLOCK_END => {
-                    let declared = scan.u64()?;
-                    if declared != total || total > u32::MAX as u64 {
-                        return Err(container_error(ParseErrorKind::Truncated));
-                    }
-                    if scan.remaining() != 0 {
-                        return Err(container_error(ParseErrorKind::TrailingBytes));
-                    }
-                    return Ok((total as u32, tables, blocks));
-                }
-                other => return Err(container_error(ParseErrorKind::BadBlockTag(other))),
-            }
-        }
-    }
-
-    /// Wraps an in-memory buffer, validating the container.
+    /// Reads wire-format bytes in memory.
     ///
     /// # Errors
     ///
-    /// [`ParseErrorKind::BadMagic`], [`ParseErrorKind::BadVersion`],
-    /// [`ParseErrorKind::Truncated`], [`ParseErrorKind::TrailingBytes`] or
-    /// [`ParseErrorKind::BadBlockTag`] (v2 only) when the container
-    /// structure is unsound.
+    /// As [`BinReader::new`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ParseError> {
-        BinReader::new(Box::new(io::Cursor::new(bytes)))
+        BinReader::new(io::Cursor::new(bytes))
     }
 
-    /// Reads an open `.rwf` file.  A regular file streams from disk;
-    /// anything else (a pipe, a fifo) cannot seek, so it is read whole into
-    /// memory after `consumed`, the bytes the caller already took from it.
-    pub(super) fn from_file(mut file: File, mut consumed: Vec<u8>) -> Result<Self, ParseError> {
-        if file.metadata().is_ok_and(|metadata| metadata.is_file()) {
-            return BinReader::new(Box::new(file));
-        }
-        file.read_to_end(&mut consumed).map_err(|error| read_error(error, 0))?;
-        BinReader::from_bytes(consumed)
-    }
-
-    /// Opens a `.rwf` file by path and validates its container.
+    /// Opens a `.rwf` file by path and reads its header.
     ///
     /// # Errors
     ///
-    /// I/O failures surface as [`ParseErrorKind::Io`]; container failures
-    /// as in [`BinReader::from_bytes`].
+    /// I/O failures surface as [`ParseErrorKind::Io`]; header failures
+    /// as in [`BinReader::new`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ParseError> {
         let file = File::open(path)
-            .map_err(|error| container_error(ParseErrorKind::Io(error.to_string())))?;
-        BinReader::from_file(file, Vec::new())
+            .map_err(|error| ParseError { line: 0, kind: ParseErrorKind::Io(error.to_string()) })?;
+        BinReader::new(BufReader::new(file))
     }
 
-    /// The header's name tables (complete before the first event, unlike the
-    /// text readers' progressively-grown tables).
+    /// The name tables read so far: complete from the start in a v1 file,
+    /// grown by each NAMES delta in a v2 one, as the text readers' tables
+    /// grow with the events.
     pub fn names(&self) -> &StreamNames {
         &self.names
     }
@@ -752,61 +611,72 @@ impl BinReader {
         self.read as usize
     }
 
-    /// Total number of frames the header declares.
-    pub fn frame_count(&self) -> usize {
-        self.frames as usize
-    }
-
-    /// Re-reads the next run of at most [`DEFAULT_BLOCK_EVENTS`] frames into
-    /// the reused chunk buffer.  A run never crosses a block boundary, so
-    /// all its frames share the block's id bounds.
-    fn refill(&mut self, line: usize) -> Result<(), ParseError> {
-        // Skip to the next non-empty block (total frame count guarantees one
-        // exists whenever the iterator lets us in here).
-        while self.block_left == 0 {
-            let block = self.blocks[self.next_block];
-            self.next_block += 1;
-            self.offset = block.offset;
-            self.block_left = block.frames;
-            self.lens = block.lens;
+    /// Reads on to the next run of frames, through the NAMES deltas and
+    /// EVENTS header before it, and reads the run (at most
+    /// [`DEFAULT_BLOCK_EVENTS`] frames, never past its section) into the
+    /// reused chunk buffer.  Returns false at the sound end of the input.
+    fn refill(&mut self) -> Result<bool, ParseError> {
+        let line = self.read as usize + 1;
+        let input = &mut *self.input;
+        while self.section_left == 0 {
+            if !self.streamed {
+                return expect_end(input, line).map(|()| false);
+            }
+            match take::<1>(input, line)?[0] {
+                BLOCK_NAMES => {
+                    let index = take::<1>(input, line)?[0];
+                    let Some(table) = self.names.tables_mut().into_iter().nth(index.into()) else {
+                        return Err(ParseError { line, kind: ParseErrorKind::BadBlockTag(index) });
+                    };
+                    read_names(input, table, line)?;
+                }
+                BLOCK_EVENTS => self.section_left = u32::from_le_bytes(take(input, line)?),
+                BLOCK_END => {
+                    if u64::from_le_bytes(take(input, line)?) != u64::from(self.read) {
+                        return Err(ParseError { line, kind: ParseErrorKind::Truncated });
+                    }
+                    return expect_end(input, line).map(|()| false);
+                }
+                other => return Err(ParseError { line, kind: ParseErrorKind::BadBlockTag(other) }),
+            }
         }
-        let frames = self.block_left.min(DEFAULT_BLOCK_EVENTS as u32);
+        // Event ids are 32-bit: a frame after the first `u32::MAX` has none.
+        let room = u32::MAX - self.read;
+        if room == 0 {
+            return Err(ParseError { line, kind: ParseErrorKind::TooManyEvents });
+        }
+        let frames = self.section_left.min(DEFAULT_BLOCK_EVENTS as u32).min(room);
         self.chunk.resize(frames as usize * FRAME_LEN, 0);
-        self.source
-            .seek(SeekFrom::Start(self.offset))
-            .and_then(|_| self.source.read_exact(&mut self.chunk))
-            .map_err(|error| read_error(error, line))?;
-        self.offset += self.chunk.len() as u64;
-        self.block_left -= frames;
+        input.read_exact(&mut self.chunk).map_err(|error| read_error(error, line))?;
+        self.section_left -= frames;
         self.at = 0;
-        Ok(())
+        Ok(true)
     }
 
     fn decode_frame(&mut self) -> Result<Event, ParseError> {
         let line = self.read as usize + 1;
-        if self.at == self.chunk.len() {
-            self.refill(line)?;
-        }
         let frame = &self.chunk[self.at..self.at + FRAME_LEN];
         let thread = u32::from_le_bytes(frame[0..4].try_into().expect("13-byte frame"));
         let op = frame[4];
         let target = u32::from_le_bytes(frame[5..9].try_into().expect("13-byte frame"));
         let loc = u32::from_le_bytes(frame[9..13].try_into().expect("13-byte frame"));
 
-        // Ids are checked against the tables visible to *this block* — in a
-        // streamed container a frame must not reference a later delta.
-        let lens = self.lens;
-        let check = |table: &'static str, id: u32, len: u32| {
+        // Ids are checked against the names read so far: a NAMES delta after
+        // this frame's block has not been read yet, so a streamed frame
+        // cannot reference it.
+        let check = |table: &'static str, id: u32, names: &Interner| {
+            let len = names.len() as u32;
             if id < len {
                 Ok(id)
             } else {
                 Err(ParseError { line, kind: ParseErrorKind::BadNameId { table, id, len } })
             }
         };
-        let thread = ThreadId::new(check("threads", thread, lens[0])?);
+        let names = &self.names;
+        let thread = ThreadId::new(check("threads", thread, &names.threads)?);
         let kind = match op {
             OP_ACQUIRE | OP_RELEASE => {
-                let lock = LockId::new(check("locks", target, lens[1])?);
+                let lock = LockId::new(check("locks", target, &names.locks)?);
                 if op == OP_ACQUIRE {
                     EventKind::Acquire(lock)
                 } else {
@@ -814,7 +684,7 @@ impl BinReader {
                 }
             }
             OP_READ | OP_WRITE => {
-                let var = VarId::new(check("variables", target, lens[2])?);
+                let var = VarId::new(check("variables", target, &names.variables)?);
                 if op == OP_READ {
                     EventKind::Read(var)
                 } else {
@@ -822,7 +692,7 @@ impl BinReader {
                 }
             }
             OP_FORK | OP_JOIN => {
-                let child = ThreadId::new(check("threads", target, lens[0])?);
+                let child = ThreadId::new(check("threads", target, &names.threads)?);
                 if op == OP_FORK {
                     EventKind::Fork(child)
                 } else {
@@ -834,7 +704,7 @@ impl BinReader {
         let location = if loc == NO_LOCATION {
             Location::UNKNOWN
         } else {
-            Location::new(check("locations", loc, lens[3])?)
+            Location::new(check("locations", loc, &names.locations)?)
         };
         let event = Event::new(EventId::new(self.read), thread, kind, location);
         self.at += FRAME_LEN;
@@ -847,21 +717,31 @@ impl Iterator for BinReader {
     type Item = Result<Event, ParseError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.read >= self.frames {
+        if self.done {
             return None;
         }
-        match self.decode_frame() {
-            Ok(event) => Some(Ok(event)),
-            Err(error) => {
-                self.failed = true;
-                Some(Err(error))
+        let item = if self.at < self.chunk.len() {
+            self.decode_frame()
+        } else {
+            match self.refill() {
+                Ok(true) => self.decode_frame(),
+                Ok(false) => {
+                    self.done = true;
+                    return None;
+                }
+                Err(error) => Err(error),
             }
-        }
+        };
+        self.done = item.is_err();
+        Some(item)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::super::{collect_any, parse_std, write_std};
     use super::*;
 
@@ -890,6 +770,23 @@ t1|rel(l)|A.java:4
         u16::from_le_bytes([bytes[4], bytes[5]])
     }
 
+    /// The first error decoding `bytes` meets, in the header or later.
+    fn first_error(bytes: Vec<u8>) -> ParseError {
+        match BinReader::from_bytes(bytes) {
+            Ok(reader) => reader.filter_map(Result::err).next().expect("an error"),
+            Err(error) => error,
+        }
+    }
+
+    /// A v2 header, for containers built by hand.
+    fn v2_header() -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        wire::put_u16(&mut bytes, VERSION_STREAM);
+        wire::put_u16(&mut bytes, 0);
+        wire::put_u32(&mut bytes, 0);
+        bytes
+    }
+
     #[test]
     fn round_trips_text_exactly() {
         let trace = parse_std(SAMPLE).unwrap();
@@ -897,7 +794,6 @@ t1|rel(l)|A.java:4
         assert!(looks_binary(&bytes));
         assert_eq!(version(&bytes), VERSION_STREAM);
         let reader = BinReader::from_bytes(bytes).unwrap();
-        assert_eq!(reader.frame_count(), 5);
         let roundtrip = collect_any(reader.into()).unwrap();
         assert_eq!(roundtrip.events(), trace.events(), "ids are canonical on both sides");
         assert_eq!(write_std(&roundtrip), SAMPLE);
@@ -919,19 +815,14 @@ t1|rel(l)|A.java:4
             ParseErrorKind::BadVersion(0xEE)
         ));
 
+        // Damage after the header surfaces where it is read.
         for good in [good, FIGURE2B_V1.to_vec()] {
             let truncated = good[..good.len() - 1].to_vec();
-            assert_eq!(
-                BinReader::from_bytes(truncated).unwrap_err().kind,
-                ParseErrorKind::Truncated
-            );
+            assert_eq!(first_error(truncated).kind, ParseErrorKind::Truncated);
 
             let mut trailing = good.clone();
             trailing.push(0);
-            assert_eq!(
-                BinReader::from_bytes(trailing).unwrap_err().kind,
-                ParseErrorKind::TrailingBytes
-            );
+            assert_eq!(first_error(trailing).kind, ParseErrorKind::TrailingBytes);
         }
 
         assert_eq!(
@@ -982,7 +873,8 @@ t1|rel(l)|A.java:4
         let _ = t_unused;
         let trace = b.finish();
 
-        let reader = BinReader::from_bytes(to_rwf_bytes(&trace)).unwrap();
+        let mut reader = BinReader::from_bytes(to_rwf_bytes(&trace)).unwrap();
+        assert!(reader.by_ref().all(|event| event.is_ok()));
         // First-appearance order: t1 first, unused name dropped.
         assert_eq!(reader.names().num_threads(), 2);
         assert_eq!(reader.names().thread_name(ThreadId::new(0)), Some("t1"));
@@ -1015,9 +907,9 @@ t1|rel(l)|A.java:4
         let path = std::env::temp_dir().join(format!("rapid-rwf-{}.rwf", std::process::id()));
         write_rwf_file(&trace, &path).unwrap();
         assert_eq!(version(&std::fs::read(&path).unwrap()), VERSION_STREAM);
-        let reader = BinReader::open(&path).unwrap();
-        assert_eq!(reader.frame_count(), trace.len());
+        let events: Result<Vec<Event>, _> = BinReader::open(&path).unwrap().collect();
         std::fs::remove_file(&path).ok();
+        assert_eq!(events.unwrap(), trace.events());
     }
 
     #[test]
@@ -1028,7 +920,6 @@ t1|rel(l)|A.java:4
         assert!(looks_binary(&bytes));
         assert_eq!(version(&bytes), VERSION_STREAM);
         let reader = BinReader::from_bytes(bytes).unwrap();
-        assert_eq!(reader.frame_count(), 5);
         let roundtrip = collect_any(reader.into()).unwrap();
         assert_eq!(roundtrip.events(), trace.events(), "ids are canonical on both sides");
         assert_eq!(write_std(&roundtrip), SAMPLE);
@@ -1052,7 +943,6 @@ t1|rel(l)|A.java:4
     fn stream_writer_handles_empty_traces_and_unknown_locations() {
         let empty = RwfStreamWriter::new(Vec::new()).unwrap().finish().unwrap();
         let reader = BinReader::from_bytes(empty).unwrap();
-        assert_eq!(reader.frame_count(), 0);
         assert!(collect_any(reader.into()).unwrap().is_empty());
 
         let mut writer = RwfStreamWriter::new(Vec::new()).unwrap();
@@ -1067,52 +957,131 @@ t1|rel(l)|A.java:4
         let trace = parse_std(SAMPLE).unwrap();
         let good = in_blocks(&trace, 2);
 
-        // A writer that died before `finish` left no END block: Truncated.
+        // A writer that died before `finish` left no END block: every event
+        // of its complete blocks decodes, then the missing END is Truncated,
+        // numbered by the frame the reader was working toward.
         let unfinished = good[..good.len() - 9].to_vec();
-        assert_eq!(BinReader::from_bytes(unfinished).unwrap_err().kind, ParseErrorKind::Truncated);
+        let mut items: Vec<_> = BinReader::from_bytes(unfinished).unwrap().collect();
+        let last = items.pop().expect("an item").expect_err("no END block");
+        assert_eq!(last, ParseError { line: 6, kind: ParseErrorKind::Truncated });
+        let events: Vec<Event> = items.into_iter().collect::<Result<_, _>>().unwrap();
+        assert_eq!(events, trace.events());
 
         let truncated_bytes = good[..good.len() - 1].to_vec();
-        assert_eq!(
-            BinReader::from_bytes(truncated_bytes).unwrap_err().kind,
-            ParseErrorKind::Truncated
-        );
+        assert_eq!(first_error(truncated_bytes).kind, ParseErrorKind::Truncated);
 
         let mut trailing = good.clone();
         trailing.push(0);
         assert_eq!(
-            BinReader::from_bytes(trailing).unwrap_err().kind,
-            ParseErrorKind::TrailingBytes
+            first_error(trailing),
+            ParseError { line: 6, kind: ParseErrorKind::TrailingBytes }
         );
 
-        // First body byte is a block tag; 9 is not a known block.
+        // First body byte is a block tag; 9 is not a known block.  The
+        // header is sound, so the error surfaces on the way to frame 1.
         let mut bad_tag = good.clone();
         bad_tag[12] = 9;
-        assert!(matches!(
-            BinReader::from_bytes(bad_tag).unwrap_err().kind,
-            ParseErrorKind::BadBlockTag(9)
-        ));
+        assert_eq!(
+            first_error(bad_tag),
+            ParseError { line: 1, kind: ParseErrorKind::BadBlockTag(9) }
+        );
 
         // An END total disagreeing with the frames actually present.
-        let mut mismatch = Vec::new();
-        mismatch.extend_from_slice(&MAGIC);
-        wire::put_u16(&mut mismatch, VERSION_STREAM);
-        wire::put_u16(&mut mismatch, 0);
-        wire::put_u32(&mut mismatch, 0);
+        let mut mismatch = v2_header();
         wire::put_u8(&mut mismatch, BLOCK_END);
         wire::put_u64(&mut mismatch, 1);
-        assert_eq!(BinReader::from_bytes(mismatch).unwrap_err().kind, ParseErrorKind::Truncated);
+        assert_eq!(first_error(mismatch).kind, ParseErrorKind::Truncated);
+    }
+
+    #[test]
+    fn frames_after_the_first_u32_max_are_too_many_events() {
+        // Like the text reader (FORMAT.md §1.5): a frame after the first
+        // `u32::MAX` has no event id, and is refused at its frame number.
+        let bytes = to_rwf_bytes(&parse_std(SAMPLE).unwrap());
+        let mut reader = BinReader::from_bytes(bytes).unwrap();
+        reader.read = u32::MAX - 1;
+        let event = reader.next().unwrap().expect("the last event id is free");
+        assert_eq!(event.id(), EventId::new(u32::MAX - 1));
+        let error = reader.next().unwrap().expect_err("no event id is left");
+        assert_eq!(
+            error,
+            ParseError { line: u32::MAX as usize + 1, kind: ParseErrorKind::TooManyEvents }
+        );
+        assert!(reader.next().is_none(), "the reader fuses after an error");
+    }
+
+    /// A source that records the largest buffer a read offers it.
+    struct Recording {
+        bytes: io::Cursor<Vec<u8>>,
+        largest: Arc<AtomicUsize>,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest.fetch_max(buf.len(), Ordering::Relaxed);
+            self.bytes.read(buf)
+        }
+    }
+
+    impl BufRead for Recording {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            self.bytes.fill_buf()
+        }
+
+        fn consume(&mut self, amount: usize) {
+            self.bytes.consume(amount);
+        }
+    }
+
+    /// Decodes `bytes` through a [`Recording`]: the items, and the largest
+    /// buffer the source was offered.
+    fn recorded(bytes: Vec<u8>) -> (Vec<Result<Event, ParseError>>, usize) {
+        let largest = Arc::<AtomicUsize>::default();
+        let source = Recording { bytes: io::Cursor::new(bytes), largest: Arc::clone(&largest) };
+        let items = match BinReader::new(source) {
+            Ok(reader) => reader.collect(),
+            Err(error) => vec![Err(error)],
+        };
+        (items, largest.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn hostile_name_lengths_and_counts_allocate_only_as_bytes_arrive() {
+        // A NAMES delta declaring one name of `u32::MAX` bytes, and one
+        // declaring `u32::MAX` names, each followed by EOF: both fail typed,
+        // and no read is offered a buffer sized by the declaration.
+        let run_bytes = DEFAULT_BLOCK_EVENTS * FRAME_LEN;
+        for (count, len) in [(1, Some(u32::MAX)), (u32::MAX, None)] {
+            let mut bytes = v2_header();
+            wire::put_u8(&mut bytes, BLOCK_NAMES);
+            wire::put_u8(&mut bytes, TABLE_VARIABLES as u8);
+            wire::put_u32(&mut bytes, count);
+            if let Some(len) = len {
+                wire::put_u32(&mut bytes, len);
+            }
+            let (items, largest) = recorded(bytes);
+            assert_eq!(items, [Err(ParseError { line: 1, kind: ParseErrorKind::Truncated })]);
+            assert!(largest <= run_bytes, "offered a {largest}-byte buffer");
+        }
+
+        // A real trace of several runs still arrives whole, read at most one
+        // run at a time.
+        let mut writer = RwfStreamWriter::new(Vec::new()).unwrap();
+        for i in 0..2 * DEFAULT_BLOCK_EVENTS + 7 {
+            writer.write(&format!("t{}", i % 3), "x", Some("A.java:1")).unwrap();
+        }
+        let (items, largest) = recorded(writer.finish().unwrap());
+        assert_eq!(items.len(), 2 * DEFAULT_BLOCK_EVENTS + 7);
+        assert!(items.iter().all(Result::is_ok));
+        assert_eq!(largest, run_bytes, "full runs are read whole");
     }
 
     #[test]
     fn v2_frames_cannot_reference_later_name_deltas() {
         // Hand-build: one thread + one variable, then a frame referencing
-        // variable 1 *before* the delta that defines it.  The final tables
-        // contain the name, but the per-block snapshot must reject it.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        wire::put_u16(&mut bytes, VERSION_STREAM);
-        wire::put_u16(&mut bytes, 0);
-        wire::put_u32(&mut bytes, 0);
+        // variable 1 *before* the delta that defines it.  That delta has not
+        // been read when the frame is decoded, so the frame is rejected.
+        let mut bytes = v2_header();
         wire::put_u8(&mut bytes, BLOCK_NAMES);
         wire::put_u8(&mut bytes, TABLE_THREADS as u8);
         wire::put_u32(&mut bytes, 1);
@@ -1141,7 +1110,6 @@ t1|rel(l)|A.java:4
         wire::put_u64(&mut bytes, 2);
 
         let mut reader = BinReader::from_bytes(bytes).unwrap();
-        assert_eq!(reader.names().num_variables(), 2, "final tables hold both names");
         let error = reader.next().unwrap().unwrap_err();
         assert_eq!(error.line, 1);
         assert!(matches!(
@@ -1149,18 +1117,12 @@ t1|rel(l)|A.java:4
             ParseErrorKind::BadNameId { table: "variables", id: 1, len: 1 }
         ));
         assert!(reader.next().is_none(), "the reader fuses after an error");
+        assert_eq!(reader.names().num_variables(), 1, "the later delta is never read");
 
         // An out-of-range table index in a NAMES delta is a typed error too.
-        let mut bad_table = Vec::new();
-        bad_table.extend_from_slice(&MAGIC);
-        wire::put_u16(&mut bad_table, VERSION_STREAM);
-        wire::put_u16(&mut bad_table, 0);
-        wire::put_u32(&mut bad_table, 0);
+        let mut bad_table = v2_header();
         wire::put_u8(&mut bad_table, BLOCK_NAMES);
         wire::put_u8(&mut bad_table, 4);
-        assert!(matches!(
-            BinReader::from_bytes(bad_table).unwrap_err().kind,
-            ParseErrorKind::BadBlockTag(4)
-        ));
+        assert_eq!(first_error(bad_table).kind, ParseErrorKind::BadBlockTag(4));
     }
 }

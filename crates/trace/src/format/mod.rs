@@ -41,13 +41,15 @@
 //! * **Binary** — [`BinReader`] over the fixed-width *rapid wire format*
 //!   (`.rwf`, see [`binary`]), which removes string handling from the hot
 //!   path entirely: names live once in the string tables, and each event
-//!   is a 13-byte frame, re-read from the file in runs of at most 4096.
+//!   is a 13-byte frame, read in runs of at most 4096 into one reused
+//!   buffer.
 //!
-//! [`AnyReader`] puts the two behind one iterator and auto-detects binary
-//! inputs by their magic bytes ([`looks_binary`]) — for files
-//! ([`AnyReader::open`]) and for bytes in memory ([`AnyReader::from_bytes`])
-//! alike.  The `engine` CLI and the shard driver read every input through
-//! it.
+//! Both read their input once, front to back, over any [`BufRead`], so a
+//! pipe or a live producer streams like a file.  [`AnyReader`] puts the two
+//! behind one iterator and auto-detects binary inputs by their magic bytes
+//! ([`looks_binary`]) — for files ([`AnyReader::open`]) and for bytes in
+//! memory ([`AnyReader::from_bytes`]) alike.  The `engine` CLI and the
+//! shard driver read every input through it.
 //!
 //! The normative specification of all three encodings — grammar,
 //! optional-location forms, header and string-table layout, endianness and
@@ -88,8 +90,8 @@ pub enum ParseErrorKind {
     MalformedOp(String),
     /// The underlying reader failed (streaming only).
     Io(String),
-    /// Text input has a content line after `u32::MAX` events, the most
-    /// that 32-bit event ids can number.
+    /// The input has an event after the first `u32::MAX`, the most that
+    /// 32-bit event ids can number: a text content line or a `.rwf` frame.
     TooManyEvents,
     /// Binary input does not start with the `.rwf` magic bytes.
     BadMagic,
@@ -239,20 +241,9 @@ impl StreamNames {
         self.locations.len()
     }
 
-    /// Builds name tables from complete per-kind name lists (the binary
-    /// reader's string tables).
-    pub(crate) fn from_tables(
-        threads: Vec<String>,
-        locks: Vec<String>,
-        variables: Vec<String>,
-        locations: Vec<String>,
-    ) -> Self {
-        StreamNames {
-            threads: Interner::from_names(threads),
-            locks: Interner::from_names(locks),
-            variables: Interner::from_names(variables),
-            locations: Interner::from_names(locations),
-        }
+    /// The four tables in the `.rwf` table order (`docs/FORMAT.md` §3.2).
+    fn tables_mut(&mut self) -> [&mut Interner; 4] {
+        [&mut self.threads, &mut self.locks, &mut self.variables, &mut self.locations]
     }
 
     /// Decomposes into `(threads, locks, variables, locations)` name lists.
@@ -482,12 +473,9 @@ impl fmt::Debug for AnyReader {
 impl AnyReader {
     /// Opens `path`, auto-detecting the binary format by magic bytes.
     ///
-    /// Either way the input streams: text through a `BufReader`, with the
-    /// sniffed bytes chained back in front of the rest (so pipes and fifos
-    /// work too), and a regular `.rwf` file re-read from disk in runs of
-    /// frames.  Binary input that cannot seek (a pipe, a fifo) is read into
-    /// memory whole first, since its container is validated before the
-    /// first event.
+    /// Either way the input streams front to back through a `BufReader`
+    /// (text through a [`TextReader`]), with the sniffed bytes chained back
+    /// in front of the rest, so pipes and fifos read like regular files.
     ///
     /// The third argument is ignored.  It used to choose between a
     /// memory-mapped and a buffered text reader, and remains only so that
@@ -496,7 +484,8 @@ impl AnyReader {
     /// # Errors
     ///
     /// I/O failures surface as [`ParseErrorKind::Io`]; a detected binary
-    /// file with an unsound container fails as in [`BinReader::from_bytes`].
+    /// file with an unsound header fails as in [`BinReader::new`].  Other
+    /// errors surface while iterating.
     pub fn open(
         path: impl AsRef<Path>,
         text: TextFormat,
@@ -507,20 +496,23 @@ impl AnyReader {
         let mut file = File::open(&path).map_err(io_error)?;
         let mut magic = Vec::with_capacity(MAGIC.len());
         (&mut file).take(MAGIC.len() as u64).read_to_end(&mut magic).map_err(io_error)?;
-        if looks_binary(&magic) {
-            return Ok(AnyReader::Binary(BinReader::from_file(file, magic)?));
+        let binary = looks_binary(&magic);
+        let input = io::Cursor::new(magic).chain(file);
+        if binary {
+            return Ok(AnyReader::Binary(BinReader::new(BufReader::new(input))?));
         }
-        Ok(AnyReader::text(text, Box::new(io::Cursor::new(magic).chain(file))))
+        Ok(AnyReader::text(text, Box::new(input)))
     }
 
     /// Reads trace bytes already in memory (a shard shipped over the wire,
     /// a test input), with the same sniff and the same two readers as
-    /// [`AnyReader::open`].
+    /// [`AnyReader::open`].  `.rwf` bytes are read through an `io::Cursor`,
+    /// with no `BufReader` copy in between.
     ///
     /// # Errors
     ///
-    /// Binary input with an unsound container fails as in
-    /// [`BinReader::from_bytes`]; text errors surface while iterating.
+    /// Binary input with an unsound header fails as in [`BinReader::new`];
+    /// other errors surface while iterating.
     pub fn from_bytes(bytes: Vec<u8>, text: TextFormat) -> Result<AnyReader, ParseError> {
         if looks_binary(&bytes) {
             return Ok(AnyReader::Binary(BinReader::from_bytes(bytes)?));
@@ -536,8 +528,9 @@ impl AnyReader {
         })
     }
 
-    /// The name tables seen so far (complete up front for binary input,
-    /// growing for text).
+    /// The name tables read so far.  They grow as events are read, for
+    /// either encoding; a version-1 `.rwf` holds them complete from the
+    /// start.
     pub fn names(&self) -> &StreamNames {
         match self {
             AnyReader::Text(reader) => reader.names(),
@@ -960,26 +953,30 @@ main|fork(t1)|Main.java:1
         }
     }
 
+    /// A fresh fifo in the temp directory, named for `name` and this process.
+    #[cfg(unix)]
+    fn fifo(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("rapid-{name}-{}", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let status = std::process::Command::new("mkfifo").arg(&path).status().expect("mkfifo runs");
+        assert!(status.success(), "mkfifo failed");
+        path
+    }
+
     #[test]
     fn any_reader_does_not_lose_sniffed_bytes_on_fallback_inputs() {
         // Regression: `AnyReader::open` used to consume 4 magic-sniff bytes
         // before handing the file to the readers, corrupting any input that
         // cannot seek back (pipes, fifos).  On unix, exercise a real fifo
-        // with text and with a `.rwf` v2 container, which cannot be re-read
-        // from disk and takes the read-whole fallback.
+        // with text and with a `.rwf` v2 container.
         #[cfg(unix)]
         {
-            let dir = std::env::temp_dir();
             let text = "t1|w(x)|A:1\nt2|r(x)|B:2\n";
             let rwf = to_rwf_bytes(&parse_std(text).unwrap());
             let expected: Vec<Event> =
                 BinReader::from_bytes(rwf.clone()).unwrap().collect::<Result<_, _>>().unwrap();
             for (mode, contents) in [("text", text.as_bytes().to_vec()), ("binary", rwf)] {
-                let path = dir.join(format!("rapid-anyreader-fifo-{mode}-{}", std::process::id()));
-                std::fs::remove_file(&path).ok();
-                let status =
-                    std::process::Command::new("mkfifo").arg(&path).status().expect("mkfifo runs");
-                assert!(status.success(), "mkfifo failed");
+                let path = fifo(&format!("anyreader-fifo-{mode}"));
                 let writer_path = path.clone();
                 let writer = std::thread::spawn(move || {
                     std::fs::write(&writer_path, contents).expect("fifo write");
@@ -994,6 +991,43 @@ main|fork(t1)|Main.java:1
                 assert!(events[0].kind().is_write(), "{mode}");
                 assert_eq!(events, expected, "{mode}");
             }
+        }
+    }
+
+    #[test]
+    fn a_live_producers_rwf_is_analyzed_as_it_arrives() {
+        // The producer writes its first block of two events, then waits for
+        // the reader to decode event 0 before it writes the rest and END.
+        // A reader that wanted the whole input before its first event would
+        // keep it waiting until the timeout.
+        #[cfg(unix)]
+        {
+            use std::sync::mpsc;
+            use std::time::Duration;
+            let path = fifo("live-producer");
+            let (decoded_first, first_seen) = mpsc::channel();
+            let writer_path = path.clone();
+            let producer = std::thread::spawn(move || {
+                let file = std::fs::OpenOptions::new().write(true).open(writer_path).unwrap();
+                let mut writer = RwfStreamWriter::with_block_events(file, 2).unwrap();
+                writer.write("t1", "x", Some("A:1")).unwrap();
+                writer.read("t2", "x", Some("B:1")).unwrap();
+                let signalled = first_seen.recv_timeout(Duration::from_secs(5)).is_ok();
+                writer.acquire("t1", "l", Some("A:2")).unwrap();
+                writer.release("t1", "l", Some("A:3")).unwrap();
+                writer.write("t2", "y", None).unwrap();
+                writer.finish().unwrap();
+                signalled
+            });
+            let mut reader = AnyReader::open(&path, TextFormat::Std, true).expect("fifo opens");
+            let first = reader.next().expect("an event").expect("decodes");
+            decoded_first.send(()).ok();
+            let rest: Vec<Event> = reader.collect::<Result<_, _>>().expect("all events arrive");
+            let signalled = producer.join().expect("producer thread");
+            std::fs::remove_file(&path).ok();
+            assert!(first.kind().is_write());
+            assert_eq!(rest.len(), 4);
+            assert!(signalled, "event 0 was decoded before the producer finished");
         }
     }
 
@@ -1054,8 +1088,10 @@ main|fork(t1)|Main.java:1
         assert!(write_trace_file(&trace, &std_path).is_err());
         let rwf_path = dir.join(format!("rapid-reject-{pid}.rwf"));
         write_trace_file(&trace, &rwf_path).expect("the wire format represents any name");
-        assert_eq!(BinReader::open(&rwf_path).unwrap().frame_count(), 1);
+        let decoded = collect_any(BinReader::open(&rwf_path).unwrap().into()).unwrap();
         std::fs::remove_file(&rwf_path).ok();
+        assert_eq!(decoded.len(), 1);
+        assert_eq!(decoded.thread_name(ThreadId::new(0)), Some("#t"));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! over a byte slice whose only error is [`Truncated`] (each codec maps it
 //! into its own typed error, with whatever position context it tracks).
 //! The `.rwf` reader streams its input instead of holding it as a slice, so
-//! it repeats the same checks over a seekable source.  The writing side is
-//! the `put_*` free functions over a `Vec<u8>`.
+//! it repeats the same checks over a `BufRead`, read front to back.  The
+//! writing side is the `put_*` free functions over a `Vec<u8>`.
 //!
 //! No varints: every integer on every wire is fixed-width LE, matching the
-//! normative layout of `docs/FORMAT.md` §3 (and keeping frames seekable).
+//! normative layout of `docs/FORMAT.md` §3 (and keeping every `.rwf` frame
+//! 13 bytes).
 
 /// The single decode error of the shared primitives: the input ended before
 /// the structure it declared.  Codecs map this into their own error types

@@ -3,15 +3,16 @@
 //! blank lines, which the text parser discards before conversion), and the
 //! binary reader agrees with [`StreamReader`] event for event.  A `.rwf`
 //! file read from disk decodes exactly as its bytes do in memory, no
-//! mutation of any encoding makes a decoder panic, and a mutated text input
-//! reads the same through a tiny buffer as in memory.
+//! mutation of any encoding makes a decoder panic, and a mutated input of
+//! either encoding reads the same through a source of 5-byte reads as in
+//! memory.
 //!
 //! Together with the golden fixtures `tests/fixtures/figure2b.v2.rwf` and
 //! `figure2b.rwf` (version 1, read but no longer written), these back the
 //! encoding claims of `docs/FORMAT.md` §3.
 
 use std::fs::OpenOptions;
-use std::io::BufReader;
+use std::io::{self, BufReader, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
@@ -146,7 +147,7 @@ fn rwf_files_decode_like_their_bytes_across_chunk_boundaries() {
     // plus a partial one.
     let trace = benchmarks::benchmark_scaled("moldyn", 2 * 4096 + 123).expect("moldyn").trace;
     assert_eq!(trace.len(), 2 * 4096 + 122);
-    // Each block size with the first frame that must be re-read from disk
+    // Each block size with the first frame that must be read from disk
     // after 5,000 frames: runs never cross a block, so 1000-frame blocks
     // refill at frame 5,001 and the others at 8,193.  One 10,000-event
     // block holds the whole trace, so a run ends inside it.
@@ -167,19 +168,26 @@ fn rwf_files_decode_like_their_bytes_across_chunk_boundaries() {
         assert_eq!(format::write_std(&from_file), format::write_std(&trace), "{name}");
         assert_eq!(Ok(from_file), from_bytes, "{name}");
 
-        // Damaged containers fail at `open`, exactly as the bytes do.
+        // Damaged containers fail after their last frame, exactly as the
+        // bytes do.
         let damaged = [
             (bytes[..bytes.len() - 1].to_vec(), ParseErrorKind::Truncated),
             ([&bytes[..], &[0]].concat(), ParseErrorKind::TrailingBytes),
         ];
         for (damaged, kind) in damaged {
             std::fs::write(&path, &damaged).expect("writes");
-            assert_eq!(BinReader::open(&path).expect_err(name).kind, kind, "{name}");
-            assert_eq!(BinReader::from_bytes(damaged).expect_err(name).kind, kind, "{name}");
+            let from_file: Vec<_> = BinReader::open(&path).expect("opens").collect();
+            let from_bytes: Vec<_> = BinReader::from_bytes(damaged).expect(name).collect();
+            assert_eq!(from_file, from_bytes, "{name}");
+            let (last, events) = from_file.split_last().expect("items");
+            assert_eq!(events.len(), trace.len(), "{name}");
+            let error = last.clone().expect_err(name);
+            assert_eq!((error.line, error.kind), (trace.len() + 1, kind), "{name}");
         }
 
         // Cut the file after 5,000 frames have been read: frames already
-        // buffered still decode, and the next re-read fails as `Truncated`.
+        // buffered still decode, and the next read from disk fails as
+        // `Truncated`.
         std::fs::write(&path, &bytes).expect("writes");
         let mut reader = BinReader::open(&path).expect("opens");
         for _ in 0..5000 {
@@ -240,9 +248,26 @@ fn decode(bytes: Vec<u8>, text: TextFormat) -> Result<Vec<Event>, ParseError> {
     AnyReader::from_bytes(bytes, text)?.collect()
 }
 
-/// Drains text `bytes` through a [`StreamReader`] over a 5-byte buffer, so
-/// that most lines straddle a refill.
+/// A source that returns at most 5 bytes per `read` and cannot seek, as a
+/// pipe may.
+struct Trickle(io::Cursor<Vec<u8>>);
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let len = buf.len().min(5);
+        self.0.read(&mut buf[..len])
+    }
+}
+
+/// Drains `bytes` through 5-byte reads, sniffed as [`AnyReader`] does:
+/// `.rwf` through a [`BinReader`] over a [`Trickle`], and text through a
+/// [`StreamReader`] over a 5-byte buffer, so that most lines straddle a
+/// refill.
 fn decode_in_refills(bytes: &[u8], text: TextFormat) -> Result<Vec<Event>, ParseError> {
+    if format::looks_binary(bytes) {
+        let source = BufReader::with_capacity(5, Trickle(io::Cursor::new(bytes.to_vec())));
+        return BinReader::new(source)?.collect();
+    }
     let source = BufReader::with_capacity(5, bytes);
     match text {
         TextFormat::Std => StreamReader::std(source).collect(),
@@ -251,21 +276,20 @@ fn decode_in_refills(bytes: &[u8], text: TextFormat) -> Result<Vec<Event>, Parse
 }
 
 /// The decoders never panic: every mutant of every encoding of Figure 2b
-/// ends in events or a [`ParseError`].  Every text mutant reads the same
-/// through a 5-byte buffer as in memory: the same events, or the same
-/// first error.
+/// ends in events or a [`ParseError`].  Every mutant reads the same through
+/// 5-byte reads as in memory: the same events, or the same first error.
 #[test]
 fn decoders_never_panic_on_mutated_input() {
     const MUTANTS: usize = 2000;
     let trace = figures::figure_2b().trace;
     let encodings = [
-        ("std", TextFormat::Std, true, format::write_std(&trace).into_bytes()),
-        ("csv", TextFormat::Csv, true, format::write_csv(&trace).into_bytes()),
-        ("rwf-v1", TextFormat::Std, false, FIGURE2B_V1.to_vec()),
-        ("rwf-v2", TextFormat::Std, false, in_blocks(&trace, 2)),
+        ("std", TextFormat::Std, format::write_std(&trace).into_bytes()),
+        ("csv", TextFormat::Csv, format::write_csv(&trace).into_bytes()),
+        ("rwf-v1", TextFormat::Std, FIGURE2B_V1.to_vec()),
+        ("rwf-v2", TextFormat::Std, in_blocks(&trace, 2)),
     ];
     let mut rng = SplitMix(0x5EED);
-    for (name, text, is_text, original) in encodings {
+    for (name, text, original) in encodings {
         let (mut decoded, mut rejected) = (0, 0);
         for index in 0..MUTANTS {
             let mutant = mutate(&original, &mut rng);
@@ -273,12 +297,10 @@ fn decoders_never_panic_on_mutated_input() {
             else {
                 panic!("{name} mutant {index} panicked the decoder: {mutant:?}");
             };
-            if is_text {
-                let Ok(refilled) = catch_unwind(|| decode_in_refills(&mutant, text)) else {
-                    panic!("{name} mutant {index} panicked the 5-byte reader: {mutant:?}");
-                };
-                assert_eq!(refilled, outcome, "{name} mutant {index}: {mutant:?}");
-            }
+            let Ok(refilled) = catch_unwind(|| decode_in_refills(&mutant, text)) else {
+                panic!("{name} mutant {index} panicked the 5-byte reader: {mutant:?}");
+            };
+            assert_eq!(refilled, outcome, "{name} mutant {index}: {mutant:?}");
             match outcome {
                 Ok(_) => decoded += 1,
                 Err(_) => rejected += 1,
