@@ -55,8 +55,9 @@
 //! restores the v1 semantics — drain and exit after the first answered
 //! report.  SIGINT (Ctrl-C) begins the same graceful drain: open jobs are
 //! aborted, closed jobs run to completion, then the service exits.  In
-//! `submit` mode `--timeout` bounds the wait for the report (exit 1 when it
-//! expires); in every other mode it is the MCM solver timeout.
+//! `submit` mode `--timeout` bounds the handshake, the shard upload and the
+//! wait for the report (exit 1 when one expires); in every other mode it is
+//! the MCM solver timeout.
 //!
 //! The trace encodings are specified in `docs/FORMAT.md`; the
 //! coordinator/worker protocol and the outcome wire codec in
@@ -179,8 +180,8 @@ fn parse_args() -> Result<Options, String> {
             "--timeout" => {
                 let value = args.next().ok_or("--timeout requires a value")?;
                 let secs = value.parse().map_err(|_| format!("invalid timeout {value}"))?;
-                // In submit mode the flag bounds the report wait; elsewhere
-                // it is the MCM solver timeout.
+                // In submit mode the flag bounds each wait of the submit;
+                // elsewhere it is the MCM solver timeout.
                 if options.mode == "submit" {
                     options.submit_timeout = Some(secs);
                 } else {

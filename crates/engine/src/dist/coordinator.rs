@@ -4,7 +4,7 @@
 //! the same merge path as a local `jobs = N` run — answering `REPORT` per
 //! job without shutting the service down.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -280,9 +280,14 @@ impl Job {
 /// The job registry plus the service-level lifecycle flags.
 #[derive(Default)]
 struct Registry {
-    /// Jobs by id.  A `BTreeMap` so worker claims scan jobs in open order —
-    /// deterministic, and earlier jobs drain first under contention.
+    /// Jobs by id, completed ones included: reports, `STALE` acks and the
+    /// serve summary look them up.
     jobs: BTreeMap<u32, Job>,
+    /// The ids of the jobs not yet complete, in open order.  Only these
+    /// can hold pending shards or leases, so claims scan them and not
+    /// every job the service has answered — deterministic, and earlier
+    /// jobs drain first under contention.
+    live: BTreeSet<u32>,
     by_name: HashMap<String, u32>,
     next_id: u32,
     /// No new jobs; finish closed ones, abort open ones, then exit.
@@ -301,7 +306,19 @@ struct Registry {
 
 impl Registry {
     fn all_complete(&self) -> bool {
-        self.jobs.values().all(Job::is_complete)
+        self.live.is_empty()
+    }
+
+    /// The jobs not yet complete, in open order.
+    fn live_jobs(&self) -> impl Iterator<Item = (u32, &Job)> {
+        self.live.iter().map(|id| (*id, &self.jobs[id]))
+    }
+
+    /// Calls `visit` on every job not yet complete, in open order.
+    fn for_each_live_job(&mut self, mut visit: impl FnMut(&mut Job)) {
+        for id in &self.live {
+            visit(self.jobs.get_mut(id).expect("live jobs are registered"));
+        }
     }
 }
 
@@ -335,7 +352,7 @@ fn hrw_owner(content: ContentId, workers: &HashSet<u64>) -> Option<u64> {
 /// then the largest remaining content (LPT), ties toward the smallest
 /// shard index.
 fn pick_pending(reg: &Registry, worker: u64) -> Option<(u32, usize)> {
-    for (&job_id, job) in &reg.jobs {
+    for (job_id, job) in reg.live_jobs() {
         let candidates: Vec<(usize, ContentId)> = job
             .pending
             .iter()
@@ -368,7 +385,7 @@ fn pick_pending(reg: &Registry, worker: u64) -> Option<(u32, usize)> {
 /// shard at all, rather than deadlocking when only "excluded" work
 /// remains.
 fn pick_any_pending(reg: &Registry) -> Option<(u32, usize)> {
-    reg.jobs.iter().find_map(|(&id, job)| job.pending.front().map(|&shard| (id, shard)))
+    reg.live_jobs().find_map(|(id, job)| job.pending.front().map(|&shard| (id, shard)))
 }
 
 /// What one claim poll produced.
@@ -382,7 +399,8 @@ enum ClaimWait {
     },
     /// The service is drained (or shutting down): answer `DONE`.
     Drained,
-    /// Nothing to lease right now; poll the socket and try again.
+    /// Nothing to lease within one [`CLAIM_POLL`]; check the socket and
+    /// try again.
     Empty,
 }
 
@@ -405,7 +423,7 @@ impl Shared {
     /// Called with the state lock held.
     fn reclaim_expired(&self, reg: &mut Registry, now: Instant) {
         let mut forfeited = Vec::new();
-        for job in reg.jobs.values_mut() {
+        reg.for_each_live_job(|job| {
             let expired: Vec<usize> = job
                 .leases
                 .iter()
@@ -418,7 +436,7 @@ impl Shared {
                 job.pending.push_front(shard);
                 forfeited.push(lease.worker);
             }
-        }
+        });
         reg.stale_workers.extend(forfeited);
     }
 
@@ -466,7 +484,7 @@ impl Shared {
         let mut reg = self.state.lock().expect("coordinator state poisoned");
         reg.stale_workers.remove(&worker);
         let mut requeued = false;
-        for job in reg.jobs.values_mut() {
+        reg.for_each_live_job(|job| {
             let held: Vec<usize> = job
                 .leases
                 .iter()
@@ -479,29 +497,39 @@ impl Shared {
                 job.pending.push_front(shard);
                 requeued = true;
             }
-        }
+        });
         if requeued {
             self.cond.notify_all();
         }
     }
 
-    /// One non-blocking claim attempt for `worker`: reclaims expired
-    /// leases, then picks a shard — rendezvous-preferred, LPT-ordered —
-    /// or, when the queue is dry and speculation is enabled, steals the
-    /// oldest in-flight lease as a backup task.  Never blocks: `Empty`
-    /// tells the caller to poll its own socket and retry, so a pending
-    /// `LEASE` still notices the worker hanging up, and still folds a
-    /// result the worker sent after it (PROTOCOL.md §2.1).
+    /// One claim attempt for `worker`, waiting at most [`CLAIM_POLL`]:
+    /// reclaims expired leases, then picks a shard — rendezvous-preferred,
+    /// LPT-ordered — or, when the queue is dry and speculation is enabled,
+    /// steals the oldest in-flight lease as a backup task.  With nothing to
+    /// grant it waits on `cond`, which a queued shard, a disconnect's
+    /// requeue, a closed job, a folded result and a drain all notify, and
+    /// tries again on each wake.  `Empty` after a full `CLAIM_POLL` tells
+    /// the caller to check its own socket and retry, so a pending `LEASE`
+    /// still notices the worker hanging up, and still folds a result the
+    /// worker sent after it (PROTOCOL.md §2.1).
     fn try_claim(&self, worker: u64) -> ClaimWait {
         let mut reg = self.state.lock().expect("coordinator state poisoned");
-        let now = Instant::now();
-        self.reclaim_expired(&mut reg, now);
-        if reg.shutdown || (reg.draining && reg.all_complete()) {
-            return ClaimWait::Drained;
-        }
-        match self.select_shard(&mut reg, worker, now) {
-            Some((job, shard)) => ClaimWait::Granted { job, shard },
-            None => ClaimWait::Empty,
+        let deadline = Instant::now() + CLAIM_POLL;
+        loop {
+            let now = Instant::now();
+            self.reclaim_expired(&mut reg, now);
+            if reg.shutdown || (reg.draining && reg.all_complete()) {
+                return ClaimWait::Drained;
+            }
+            if let Some((job, shard)) = self.select_shard(&mut reg, worker, now) {
+                return ClaimWait::Granted { job, shard };
+            }
+            if now >= deadline {
+                return ClaimWait::Empty;
+            }
+            reg =
+                self.cond.wait_timeout(reg, deadline - now).expect("coordinator state poisoned").0;
         }
     }
 
@@ -541,7 +569,7 @@ impl Shared {
     ) -> Option<(u32, usize)> {
         let after = self.speculate_after?;
         let mut oldest: Option<(u32, usize, Instant)> = None;
-        for (&job_id, job) in &reg.jobs {
+        for (job_id, job) in reg.live_jobs() {
             for (&shard, lease) in &job.leases {
                 if lease.worker == worker
                     || now.duration_since(lease.granted) < after
@@ -599,6 +627,7 @@ impl Shared {
         job.pending.retain(|&queued| queued != shard);
         if job.is_complete() {
             job.finish();
+            reg.live.remove(&job_id);
         }
         self.finish_or_notify(reg);
         true
@@ -637,15 +666,18 @@ impl Shared {
     fn drain(&self) {
         let mut reg = self.state.lock().expect("coordinator state poisoned");
         reg.draining = true;
-        for job in reg.jobs.values_mut() {
-            if job.open && job.aborted.is_none() {
-                job.aborted =
-                    Some(format!("job {} aborted: the coordinator is draining", job.name));
-                job.pending.clear();
-                job.leases.clear();
-                job.finish();
+        let Registry { jobs, live, .. } = &mut *reg;
+        live.retain(|id| {
+            let job = jobs.get_mut(id).expect("live jobs are registered");
+            if !job.open {
+                return true;
             }
-        }
+            job.aborted = Some(format!("job {} aborted: the coordinator is draining", job.name));
+            job.pending.clear();
+            job.leases.clear();
+            job.finish();
+            false
+        });
         self.finish_or_notify(reg);
     }
 
@@ -962,38 +994,38 @@ fn fold_result(shared: &Shared, stream: &mut TcpStream, conn: u64, result: Messa
     accepted || proto::write_message(stream, &Message::Stale { job, shard }).is_ok()
 }
 
-/// The poll cadence of a `LEASE` waiting on an empty queue: short enough
-/// that a freshly-opened job, a requeued shard, or a ripening speculation
-/// target reaches the idle worker within ~5ms, and doubling as the pacing
-/// sleep between claim attempts (each poll also folds any result the
-/// worker sent after its `LEASE`).
+/// The longest a `LEASE` waiting on an empty queue goes without checking
+/// its socket (a hang-up, or a result the worker sent after its `LEASE`),
+/// lease expiry and speculation ripeness.  A queued or requeued shard
+/// does not wait for it: it wakes the claim at once.
 const CLAIM_POLL: Duration = Duration::from_millis(5);
 
-/// The read timeout of a worker connection with no claim outstanding —
-/// the idle heartbeat the shutdown and half-open checks ride on.
-const WORKER_IDLE_POLL: Duration = Duration::from_millis(500);
+/// Whether the worker has sent bytes or hung up since the last read,
+/// checked without blocking.  A socket error counts as input, so the
+/// read that follows surfaces it.
+fn has_input(stream: &TcpStream) -> bool {
+    let _ = stream.set_nonblocking(true);
+    let peeked = stream.peek(&mut [0u8; 1]);
+    let _ = stream.set_nonblocking(false);
+    !matches!(peeked, Err(error) if error.kind() == std::io::ErrorKind::WouldBlock)
+}
 
 fn serve_worker(shared: &Shared, mut stream: TcpStream, conn: u64) {
     shared.register_worker(conn);
     // One claim may be outstanding at a time.  While it waits, the
-    // socket is polled on a short timeout, so a hang-up is noticed and an
+    // socket is checked every CLAIM_POLL, so a hang-up is noticed and an
     // OUTCOME/FAILED sent after the LEASE still folds (PROTOCOL.md §2.1
     // forbids a worker to send one there, but the coordinator accepts
-    // it): a blocking claim would deadlock on such a peer, the
-    // coordinator waiting for the queue and the queue waiting for the
-    // result sitting unread in this very socket.
+    // it): a claim that waited for the queue alone would deadlock on such
+    // a peer, the coordinator waiting for the queue and the queue waiting
+    // for the result sitting unread in this very socket.
     let mut pending_lease = false;
-    let mut fast_poll = false;
     'conn: loop {
         if pending_lease {
             match shared.try_claim(conn) {
                 ClaimWait::Granted { job, shard } => match load_shard(shared, job, shard) {
                     Some((grant, bytes)) => {
                         pending_lease = false;
-                        if fast_poll {
-                            fast_poll = false;
-                            let _ = stream.set_read_timeout(Some(WORKER_IDLE_POLL));
-                        }
                         if !send_grant(shared, &mut stream, conn, job, shard as u32, &grant, &bytes)
                         {
                             break 'conn;
@@ -1009,9 +1041,8 @@ fn serve_worker(shared: &Shared, mut stream: TcpStream, conn: u64) {
                     break 'conn;
                 }
                 ClaimWait::Empty => {
-                    if !fast_poll {
-                        fast_poll = true;
-                        let _ = stream.set_read_timeout(Some(CLAIM_POLL));
+                    if !has_input(&stream) {
+                        continue 'conn;
                     }
                 }
             }
@@ -1084,6 +1115,7 @@ fn open_job(shared: &Shared, name: String, spec: DetectorSpec, shards: u32) -> R
     reg.next_id += 1;
     reg.by_name.insert(name.clone(), id);
     reg.jobs.insert(id, Job::new(name, spec, detectors, shards));
+    reg.live.insert(id);
     Ok(id)
 }
 
@@ -1139,6 +1171,7 @@ fn close_job(shared: &Shared, job_id: u32) -> Result<(), String> {
     job.open = false;
     if job.is_complete() {
         job.finish();
+        reg.live.remove(&job_id);
     }
     drop(reg);
     shared.cond.notify_all();
@@ -1292,6 +1325,7 @@ mod tests {
             let reg = shared.state.lock().expect("coordinator state poisoned");
             let job = reg.jobs.values().find(|job| job.name == "release").expect("job kept");
             assert!(job.is_complete());
+            assert!(reg.live.is_empty(), "claims still scan a completed job");
             for meta in &job.shards {
                 let meta = meta.as_ref().expect("the shard's name and content id stay");
                 assert!(

@@ -929,10 +929,14 @@ fn decode(tag: u8, payload: &[u8]) -> Result<Message, ProtoError> {
     Ok(message)
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// The slicing-by-16 tables of CRC-32 (IEEE, reflected): `CRC_TABLES[0]`
+/// is the classic byte table, and `CRC_TABLES[k][b]` is the CRC state of
+/// byte `b` followed by `k` zero bytes, so one block of 16 input bytes
+/// folds into the state with 16 independent lookups.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut index = 0;
     while index < 256 {
         let mut crc = index as u32;
@@ -941,10 +945,20 @@ const fn crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
             bit += 1;
         }
-        table[index] = crc;
+        tables[0][index] = crc;
         index += 1;
     }
-    table
+    let mut slice = 1;
+    while slice < 16 {
+        let mut index = 0;
+        while index < 256 {
+            let prev = tables[slice - 1][index];
+            tables[slice][index] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            index += 1;
+        }
+        slice += 1;
+    }
+    tables
 }
 
 struct Crc32(u32);
@@ -954,10 +968,36 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
+    /// Folds `bytes` into the state 16 bytes per step (slicing-by-16),
+    /// then byte at a time over the tail; any split of the input across
+    /// calls gives the same checksum.
     fn update(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = CRC_TABLE[((self.0 ^ byte as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+        let t = &CRC_TABLES;
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let mut crc = self.0;
+        for block in blocks {
+            let head = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+            crc = t[15][(head & 0xFF) as usize]
+                ^ t[14][((head >> 8) & 0xFF) as usize]
+                ^ t[13][((head >> 16) & 0xFF) as usize]
+                ^ t[12][(head >> 24) as usize]
+                ^ t[11][block[4] as usize]
+                ^ t[10][block[5] as usize]
+                ^ t[9][block[6] as usize]
+                ^ t[8][block[7] as usize]
+                ^ t[7][block[8] as usize]
+                ^ t[6][block[9] as usize]
+                ^ t[5][block[10] as usize]
+                ^ t[4][block[11] as usize]
+                ^ t[3][block[12] as usize]
+                ^ t[2][block[13] as usize]
+                ^ t[1][block[14] as usize]
+                ^ t[0][block[15] as usize];
         }
+        for &byte in tail {
+            crc = t[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
 
     fn finish(self) -> u32 {
@@ -1366,6 +1406,58 @@ mod tests {
         std::fs::remove_file(&path).ok();
         // Display is compact (it lands in log lines and error messages).
         assert_eq!(format!("{}", ContentId { len: 10, crc: 0xAB }), "10b/000000ab");
+    }
+
+    /// The byte-at-a-time CRC-32 loop that `Crc32::update` replaced: the
+    /// reference the sliced kernel is checked against.
+    fn bytewise_crc(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in bytes {
+            crc = CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    fn sliced_crc(parts: &[&[u8]]) -> u32 {
+        let mut crc = Crc32::new();
+        for part in parts {
+            crc.update(part);
+        }
+        crc.finish()
+    }
+
+    #[test]
+    fn checksums_are_crc32_ieee_byte_for_byte() {
+        // The CRC-32/IEEE check value, so a kernel that agrees only with
+        // itself cannot pass.
+        let check = ContentId::of(b"123456789");
+        assert_eq!(check, ContentId { len: 9, crc: 0xCBF4_3926 });
+        assert_eq!(check.to_string(), "9b/cbf43926");
+        // A golden frame: tag, length 0, then the CRC of those 5 bytes.
+        let mut frame = Vec::new();
+        write_message(&mut frame, &Message::Lease).unwrap();
+        assert_eq!(frame, [2, 0, 0, 0, 0, 125, 164, 226, 188]);
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_reference() {
+        let mut rng = SplitMix(24);
+        let bytes: Vec<u8> = (0..1 << 20).map(|_| rng.next() as u8).collect();
+        // Every length across the 16-byte block edge, at every alignment.
+        for start in 0..16 {
+            for len in 0..=64 {
+                let input = &bytes[start..start + len];
+                assert_eq!(sliced_crc(&[input]), bytewise_crc(input), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(sliced_crc(&[&bytes]), bytewise_crc(&bytes), "1 MiB");
+        // Every two-way split across `update` calls, as `frame_crc` and
+        // `ContentId::of_file`'s reads make.
+        let input = &bytes[..100];
+        for at in 0..=input.len() {
+            let (head, tail) = input.split_at(at);
+            assert_eq!(sliced_crc(&[head, tail]), bytewise_crc(input), "split at {at}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! shards as chunks, and fetches per-job reports.
 
 use std::collections::{HashMap, VecDeque};
+use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,15 +77,18 @@ fn connect_retry(addr: &str, patience: Duration) -> Result<TcpStream, String> {
 /// Connects and handshakes, returning the stream and the coordinator's
 /// `WELCOME` parallelism hint.  Detector configuration is per job in v2 —
 /// it arrives with each `GRANT`, not at the handshake.  `patience` bounds
-/// both the connect retry window and the `WELCOME` wait; `plan` wraps the
-/// connection in chaos (tests/benches only, `None` in production).
+/// both the connect retry window and the `WELCOME` wait; `write_timeout`
+/// is the socket's (`None` blocks); `plan` wraps the connection in chaos
+/// (tests/benches only, `None` in production).
 fn handshake(
     addr: &str,
     role: Role,
     patience: Duration,
+    write_timeout: Option<Duration>,
     plan: Option<FaultPlan>,
 ) -> Result<(RwpStream, u32), String> {
     let stream = connect_retry(addr, patience.min(CONNECT_PATIENCE))?;
+    let _ = stream.set_write_timeout(write_timeout);
     let mut stream = match plan {
         Some(plan) => RwpStream::Chaos(ChaosStream::new(stream, plan)),
         None => RwpStream::Plain(stream),
@@ -249,7 +253,7 @@ impl RemoteQueue {
         plan: Option<FaultPlan>,
     ) -> Result<(Self, u32), String> {
         let handshake_patience = patience.map_or(HANDSHAKE_PATIENCE, |p| p.min(HANDSHAKE_PATIENCE));
-        let (stream, jobs_hint) = handshake(addr, Role::Worker, handshake_patience, plan)?;
+        let (stream, jobs_hint) = handshake(addr, Role::Worker, handshake_patience, None, plan)?;
         let queue = RemoteQueue { addr: addr.to_owned(), stream, patience, cache: None };
         Ok((queue, jobs_hint))
     }
@@ -560,6 +564,33 @@ pub fn work(addr: &str, config: &WorkConfig) -> Result<WorkSummary, String> {
     }
 }
 
+/// The write timeout of a submit connection with a
+/// [`SubmitConfig::timeout`]: a write the coordinator does not drain
+/// returns this often, so the upload's deadline is checked.
+const UPLOAD_POLL: Duration = Duration::from_millis(500);
+
+/// The upload side of a submit: with a deadline, every write fails once
+/// it has passed.  `proto`'s writes retry a timed-out write up to 240
+/// times, so a coordinator that stops reading would otherwise hold the
+/// upload for minutes, or forever on a socket without a write timeout.
+struct Deadlined<'a> {
+    stream: &'a mut RwpStream,
+    deadline: Option<Instant>,
+}
+
+impl io::Write for Deadlined<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            return Err(io::Error::other("the shard upload did not finish within the timeout"));
+        }
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Configuration of one `engine submit` invocation.
 #[derive(Debug, Clone)]
 pub struct SubmitConfig {
@@ -574,8 +605,9 @@ pub struct SubmitConfig {
     pub spec: DetectorSpec,
     /// Text flavour override; `None` decides per shard by file extension.
     pub text: Option<TextFormat>,
-    /// Give up (exit with an error) if the report has not arrived after
-    /// this long; `None` waits effectively forever.
+    /// Give up (exit with an error) if the handshake, the shard upload or
+    /// the report each takes longer than this; `None` waits effectively
+    /// forever.
     pub timeout: Option<Duration>,
     /// Payload size of the `SHARD_CHUNK` frames streamed to the
     /// coordinator.
@@ -666,11 +698,13 @@ pub fn submit(addr: &str, config: &SubmitConfig) -> Result<SubmitReport, String>
     // the report: the connect window, the WELCOME wait and the JOB_ACCEPT
     // wait all take the tighter of the handshake default and the caller's
     // timeout, so a coordinator that accepts TCP but never answers fails
-    // within the budget instead of hanging on the 30-second default.
+    // within the budget instead of hanging on the 30-second default.  The
+    // upload gets the timeout too (see `Deadlined`).
     let handshake_patience =
         config.timeout.map_or(HANDSHAKE_PATIENCE, |t| t.min(HANDSHAKE_PATIENCE));
+    let write_timeout = config.timeout.map(|_| UPLOAD_POLL);
     let (mut stream, _) =
-        handshake(addr, Role::Submit, handshake_patience, config.chaos.plan_for(0))?;
+        handshake(addr, Role::Submit, handshake_patience, write_timeout, config.chaos.plan_for(0))?;
     let patience = config.timeout.unwrap_or(REPORT_PATIENCE);
     if config.paths.is_empty() {
         let name = config.job.clone().unwrap_or_else(|| DEFAULT_JOB.to_owned());
@@ -694,6 +728,8 @@ pub fn submit(addr: &str, config: &SubmitConfig) -> Result<SubmitReport, String>
     };
 
     let chunk_len = config.chunk_len.max(1);
+    let mut upload =
+        Deadlined { stream: &mut stream, deadline: config.timeout.map(|t| Instant::now() + t) };
     for (index, path) in config.paths.iter().enumerate() {
         let bytes = std::fs::read(path)
             .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
@@ -704,12 +740,11 @@ pub fn submit(addr: &str, config: &SubmitConfig) -> Result<SubmitReport, String>
             text: config.text.unwrap_or_else(|| TextFormat::from_path(path)),
             chunks: proto::chunk_count(bytes.len() as u64, chunk_len),
         };
-        proto::write_message(&mut stream, &header).map_err(|error| format!("{addr}: {error}"))?;
-        proto::write_chunks(&mut stream, job, index as u32, &bytes, chunk_len)
+        proto::write_message(&mut upload, &header).map_err(|error| format!("{addr}: {error}"))?;
+        proto::write_chunks(&mut upload, job, index as u32, &bytes, chunk_len)
             .map_err(|error| format!("{addr}: {error}"))?;
     }
-
-    proto::write_message(&mut stream, &Message::JobClose { job })
+    proto::write_message(&mut upload, &Message::JobClose { job })
         .map_err(|error| format!("{addr}: {error}"))?;
     // The report arrives when the job's last shard completes —
     // indefinitely far in the future for a big workload, so the wait is
@@ -725,7 +760,7 @@ pub fn submit(addr: &str, config: &SubmitConfig) -> Result<SubmitReport, String>
 ///
 /// Connection or handshake failures, or a reply other than `DONE`.
 pub fn shutdown(addr: &str) -> Result<(), String> {
-    let (mut stream, _) = handshake(addr, Role::Submit, HANDSHAKE_PATIENCE, None)?;
+    let (mut stream, _) = handshake(addr, Role::Submit, HANDSHAKE_PATIENCE, None, None)?;
     proto::write_message(&mut stream, &Message::Shutdown)
         .map_err(|error| format!("{addr}: {error}"))?;
     match proto::expect_message(&mut stream, HANDSHAKE_PATIENCE) {

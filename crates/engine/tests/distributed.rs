@@ -19,6 +19,7 @@ mod common;
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -716,6 +717,57 @@ fn outcome_sent_between_grant_and_pull_folds_and_keeps_the_connection() {
 }
 
 #[test]
+fn outcome_sent_while_a_lease_waits_folds_and_keeps_the_connection() {
+    // PROTOCOL.md §2.1 on raw RWP: while a LEASE waits on an empty queue
+    // the coordinator keeps reading the connection, so a result sent after
+    // it still folds — here the only shard's OUTCOME, which the job itself
+    // is waiting on.  The byte stream orders the LEASE before the OUTCOME,
+    // and the queue is empty when the LEASE is read.
+    let traces = [racy_trace("x", "A:1", "A:2")];
+    let paths = write_shards("waiting-lease", &traces);
+    let jobs1 = local_run(&paths, &spec(), 1);
+
+    let coordinator =
+        Coordinator::bind(&[], &ServeConfig::default()).expect("resident coordinator binds");
+    let addr = coordinator.local_addr();
+    let addr_string = addr.to_string();
+    let serve = std::thread::spawn(move || coordinator.run().expect("serve completes"));
+    let submit_addr = addr_string.clone();
+    let submit_paths = paths.clone();
+    let submit = std::thread::spawn(move || {
+        let config = SubmitConfig {
+            job: Some("waiting-lease".to_owned()),
+            paths: submit_paths,
+            spec: spec(),
+            ..SubmitConfig::default()
+        };
+        dist::submit(&submit_addr, &config).expect("job submits")
+    });
+
+    let mut worker = TcpStream::connect(addr).expect("worker connects");
+    worker.set_read_timeout(Some(Duration::from_millis(100))).expect("read timeout");
+    let (job, shard, _) = lease_one(&mut worker);
+    proto::write_message(&mut worker, &proto::Message::Lease).expect("waiting lease writes");
+    proto::write_message(&mut worker, &outcome_message(&jobs1, job, shard))
+        .expect("outcome writes");
+
+    let report = submit.join().expect("submit thread");
+    for (baseline, remote) in jobs1.merged.iter().zip(&report.merged) {
+        assert_eq!(baseline.outcome, remote.outcome, "the waiting-lease fold diverged");
+        assert_eq!(remote.outcome.shards, paths.len());
+    }
+    // The waiting LEASE is still this connection's, and the drain answers
+    // it.
+    dist::shutdown(&addr_string).expect("coordinator drains");
+    match proto::expect_message(&mut worker, Duration::from_secs(10)) {
+        Ok(proto::Message::Done) => {}
+        other => panic!("expected DONE on the waiting connection, got {other:?}"),
+    }
+    serve.join().expect("serve thread");
+    cleanup(&paths);
+}
+
+#[test]
 fn worker_answers_each_grant_before_its_next_lease() {
     // PROTOCOL.md §2.1 on the worker side: a worker answers each GRANT
     // with one HAVE or PULL and then one OUTCOME, all before its next
@@ -1136,6 +1188,59 @@ fn submit_timeout_bounds_the_job_open_handshake() {
     assert!(error.contains("no reply from peer"), "{error}");
     drop(hold.join().expect("holder thread"));
     cleanup(&paths);
+}
+
+#[test]
+fn submit_timeout_bounds_a_stalled_upload() {
+    // A coordinator stand-in that answers WELCOME and JOB_ACCEPT and then
+    // never reads: a 32 MiB shard overfills the socket buffers, so the
+    // upload blocks.  With a timeout the submit must fail soon after it,
+    // not hang; the channel's own timeout turns a hang into a failure.
+    let path =
+        std::env::temp_dir().join(format!("rapid-dist-stalled-upload-{}.std", std::process::id()));
+    std::fs::write(&path, vec![b'#'; 32 << 20]).expect("shard writes");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("listener binds");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let (release, released) = mpsc::channel::<()>();
+    let hold = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accepts the submit client");
+        match proto::read_message(&mut stream) {
+            Ok(proto::Incoming::Message(proto::Message::Hello { .. })) => {}
+            other => panic!("expected HELLO, got {other:?}"),
+        }
+        proto::write_message(&mut stream, &proto::Message::Welcome { jobs_hint: 0 })
+            .expect("welcome");
+        match proto::read_message(&mut stream) {
+            Ok(proto::Incoming::Message(proto::Message::JobOpen { .. })) => {}
+            other => panic!("expected JOB_OPEN, got {other:?}"),
+        }
+        proto::write_message(&mut stream, &proto::Message::JobAccept { job: 0 })
+            .expect("job accept");
+        // Hold the connection open, unread, until the test is done.
+        released.recv().ok();
+        stream
+    });
+
+    let bounded = SubmitConfig {
+        job: Some("stalled".to_owned()),
+        paths: vec![path.clone()],
+        spec: spec(),
+        timeout: Some(Duration::from_secs(2)),
+        ..SubmitConfig::default()
+    };
+    let (done, finished) = mpsc::channel();
+    let started = Instant::now();
+    let client = std::thread::spawn(move || done.send(dist::submit(&addr, &bounded)).ok());
+    let result = finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the stalled upload outlasted its timeout by 18 s");
+    let error = result.expect_err("a stalled upload is an error");
+    assert!(error.contains("did not finish within the timeout"), "{error}");
+    assert!(started.elapsed() >= Duration::from_secs(2), "{:?}", started.elapsed());
+    release.send(()).ok();
+    drop(hold.join().expect("holder thread"));
+    client.join().expect("client thread");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
